@@ -6,8 +6,8 @@ class list), ``compare`` (classical vs quantum information series), ``zeno``
 built-in reference values and report each comparison).
 
 Output is deterministic: identical invocations produce byte-identical bytes.
-Exit status is 0 when everything succeeded, 1 when a computation or check
-failed, 2 for usage errors.
+Exit status is 0 when everything succeeded, 1 when a computation, a check or
+writing the output failed, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import apparatus, partitions, spectrum
 
@@ -61,66 +61,73 @@ def _fmt(x: float, precision: int) -> str:
     return f"{x:.{precision}g}"
 
 
-def _round(x: float, precision: int) -> float:
-    # JSON carries floats at the same precision the text formats print.
-    return float(_fmt(x, precision))
-
-
-def _render_table(
-    headers: Sequence[str], rows: Sequence[Sequence[str]], footers: Sequence[str] = ()
+def _render(
+    out: OutputSpec,
+    headers: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    key: str = "rows",
+    lead: Sequence[tuple[str, object]] = (),
+    tail: Sequence[tuple[str, Sequence[str], Iterable[Sequence[object]]]] = (),
+    footers: Sequence[str] = (),
 ) -> str:
+    """Render typed rows in ``out.format``; the one renderer of every subcommand.
+
+    Ints and strings print as ``str``, floats at ``out.precision`` significant
+    digits (a number rounded the same way in JSON), a Partition as ``8+4+2+1``
+    (its list of parts in JSON). ``lead`` fields become ``# key=value`` lines
+    in CSV and the leading keys in JSON. JSON lists the rows under ``key``,
+    then each ``(name, headers, rows)`` table of ``tail``. ``footers`` are
+    lines appended to the table format only.
+    """
+    spec = f".{out.precision}g"  # the format _fmt applies, built once per render
+
+    def text(value: object) -> str:
+        return format(value, spec) if isinstance(value, float) else str(value)
+
+    def json_value(value: object) -> object:
+        if isinstance(value, float):
+            return float(format(value, spec))
+        if isinstance(value, partitions.Partition):
+            return list(value.parts)
+        return value
+
+    if out.format == "json":
+        def records(names, table):
+            return [{h: json_value(v) for h, v in zip(names, row)} for row in table]
+
+        payload = {name: json_value(value) for name, value in lead}
+        payload[key] = records(headers, rows)
+        for name, names, table in tail:
+            payload[name] = records(names, table)
+        return json.dumps(payload, indent=2) + "\n"
+    cells = (tuple(map(text, row)) for row in rows)
+    if out.format == "csv":
+        buf = io.StringIO()
+        for name, value in lead:
+            buf.write(f"# {name}={text(value)}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows(cells)
+        return buf.getvalue()
+    cells = list(cells)
     widths = [len(h) for h in headers]
-    for row in rows:
+    for row in cells:
         for i, cell in enumerate(row):
             if len(cell) > widths[i]:
                 widths[i] = len(cell)
     lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
+    for row in cells:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip())
     lines.extend(footers)
     return "\n".join(lines) + "\n"
-
-
-def _render_csv(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[str]],
-    meta: Sequence[tuple[str, object]] = (),
-) -> str:
-    buf = io.StringIO()
-    for key, value in meta:
-        buf.write(f"# {key}={value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _render_json(payload: object) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def cmd_partitions(n_max: int, out: OutputSpec) -> str:
     """Exact partition counts p(1)..p(n_max), full decimal digits always."""
     if n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {n_max}")
-    values = [(n, partitions.count_partitions(n)) for n in range(1, n_max + 1)]
-    if out.format == "json":
-        return _render_json({"rows": [{"n": n, "p_n": p} for n, p in values]})
-    headers = ("n", "p_n")
-    rows = [(str(n), str(p)) for n, p in values]
-    if out.format == "csv":
-        return _render_csv(headers, rows)
-    return _render_table(headers, rows)
-
-
-def _label_text(label: partitions.Partition | int) -> str:
-    return str(label)
-
-
-def _label_json(label: partitions.Partition | int) -> object:
-    if isinstance(label, partitions.Partition):
-        return list(label.parts)
-    return label
+    rows = [(n, partitions.count_partitions(n)) for n in range(1, n_max + 1)]
+    return _render(out, ("n", "p_n"), rows)
 
 
 def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> str:
@@ -133,79 +140,34 @@ def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> str:
         raise ValueError(f"kind must be 'quantum' or 'classical', got {kind!r}")
 
     p = out.precision
-    if out.format == "json":
-        return _render_json(
-            {
-                "n": report.n,
-                "kind": report.kind,
-                "entropy_bits": _round(report.entropy_bits, p),
-                "bound_bits": _round(report.bound_bits, p),
-                "classes": [
-                    {
-                        "label": _label_json(c.label),
-                        "intensity": _round(c.intensity, p),
-                        "count": c.count,
-                        "probability": f"{c.count}/2^{report.n}",
-                        "probability_float": _round(c.probability_float, p),
-                    }
-                    for c in report.classes
-                ],
-                "merges": [
-                    {"into": _label_json(kept), "absorbed": _label_json(absorbed)}
-                    for kept, absorbed in report.merges
-                ],
-            }
-        )
-
     headers = ("label", "intensity", "count", "probability", "probability_float")
-    rows = [
-        (
-            _label_text(c.label),
-            _fmt(c.intensity, p),
-            str(c.count),
-            f"{c.count}/2^{report.n}",
-            _fmt(c.probability_float, p),
-        )
+    rows = (
+        (c.label, c.intensity, c.count, f"{c.count}/2^{report.n}", c.probability_float)
         for c in report.classes
+    )
+    lead = [
+        ("n", report.n),
+        ("kind", report.kind),
+        ("entropy_bits", report.entropy_bits),
+        ("bound_bits", report.bound_bits),
     ]
-    if out.format == "csv":
-        meta = [
-            ("n", report.n),
-            ("kind", report.kind),
-            ("entropy_bits", _fmt(report.entropy_bits, p)),
-            ("bound_bits", _fmt(report.bound_bits, p)),
-            ("merges", len(report.merges)),
-        ]
-        return _render_csv(headers, rows, meta)
+    if out.format == "csv":  # JSON lists the merges themselves, after the classes
+        lead.append(("merges", len(report.merges)))
     footers = [
         f"entropy_bits = {_fmt(report.entropy_bits, p)}",
         f"bound_bits = {_fmt(report.bound_bits, p)}",
     ]
     for kept, absorbed in report.merges:
         footers.append(f"merged {absorbed} into {kept} (same intensity)")
-    return _render_table(headers, rows, footers)
+    return _render(
+        out, headers, rows, key="classes",
+        lead=lead, tail=[("merges", ("into", "absorbed"), report.merges)], footers=footers,
+    )
 
 
 def cmd_compare(n_min: int, n_max: int, out: OutputSpec) -> str:
     """Classical vs quantum information, one row per chain size."""
     points = spectrum.information_series(n_min, n_max)
-    p = out.precision
-    if out.format == "json":
-        return _render_json(
-            {
-                "rows": [
-                    {
-                        "n": pt.n,
-                        "entropy_classical_bits": _round(pt.classical_bits, p),
-                        "entropy_quantum_bits": _round(pt.quantum_bits, p),
-                        "classical_bound_bits": _round(pt.classical_bound_bits, p),
-                        "quantum_bound_bits": _round(pt.quantum_bound_bits, p),
-                        "quantum_classical_ratio": _round(pt.quantum_classical_ratio, p),
-                    }
-                    for pt in points
-                ]
-            }
-        )
     headers = (
         "n",
         "entropy_classical_bits",
@@ -216,18 +178,16 @@ def cmd_compare(n_min: int, n_max: int, out: OutputSpec) -> str:
     )
     rows = [
         (
-            str(pt.n),
-            _fmt(pt.classical_bits, p),
-            _fmt(pt.quantum_bits, p),
-            _fmt(pt.classical_bound_bits, p),
-            _fmt(pt.quantum_bound_bits, p),
-            _fmt(pt.quantum_classical_ratio, p),
+            pt.n,
+            pt.classical_bits,
+            pt.quantum_bits,
+            pt.classical_bound_bits,
+            pt.quantum_bound_bits,
+            pt.quantum_classical_ratio,
         )
         for pt in points
     ]
-    if out.format == "csv":
-        return _render_csv(headers, rows)
-    return _render_table(headers, rows)
+    return _render(out, headers, rows)
 
 
 def cmd_zeno(ns: Sequence[int], out: OutputSpec) -> str:
@@ -239,35 +199,12 @@ def cmd_zeno(ns: Sequence[int], out: OutputSpec) -> str:
     """
     if not ns:
         raise ValueError("at least one n is required")
-    rows_data = [(n, apparatus.zeno_survival(n), 1.0 - math.pi * math.pi / (4.0 * n)) for n in ns]
-    p = out.precision
-    if out.format == "json":
-        return _render_json(
-            {
-                "rows": [
-                    {
-                        "n": n,
-                        "survival": _round(survival, p),
-                        "lower_bound": _round(bound, p),
-                    }
-                    for n, survival, bound in rows_data
-                ]
-            }
-        )
-    headers = ("n", "survival", "lower_bound")
-    if out.format == "csv":
-        rows = [(str(n), _fmt(s, p), _fmt(b, p)) for n, s, b in rows_data]
-        return _render_csv(headers, rows)
-    rows = []
-    flagged = False
-    for n, survival, bound in rows_data:
-        cell = _fmt(bound, p)
-        if n < 2:
-            cell += " *"
-            flagged = True
-        rows.append((str(n), _fmt(survival, p), cell))
-    footers = ["* bound applies for n >= 2 only"] if flagged else []
-    return _render_table(headers, rows, footers)
+    rows = [(n, apparatus.zeno_survival(n), 1.0 - math.pi * math.pi / (4.0 * n)) for n in ns]
+    footers = []
+    if out.format == "table" and min(ns) < 2:
+        rows = [(n, s, f"{_fmt(b, out.precision)} *" if n < 2 else b) for n, s, b in rows]
+        footers.append("* bound applies for n >= 2 only")
+    return _render(out, ("n", "survival", "lower_bound"), rows, footers=footers)
 
 
 _TABLE_PN = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
@@ -406,11 +343,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _deliver(text: str, out: OutputSpec) -> None:
+def _deliver(text: str, out: OutputSpec) -> int:
     if out.destination is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         out.destination.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {out.destination}: {exc.strerror or exc}\n")
+        return 1
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -432,8 +374,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # CapacityError included
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _deliver(text, out)
-    return 0
+    return _deliver(text, out)
 
 
 if __name__ == "__main__":

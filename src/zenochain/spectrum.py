@@ -155,27 +155,29 @@ def _entropy_from_counts(counts: Iterable[int], n: int) -> float:
     return math.fsum((c / total) * (n - math.log2(c)) for c in counts)
 
 
-def _merged_classes(
-    raw: list[tuple[float, tuple[int, ...], int]], n: int
-) -> tuple[tuple[IntensityClass, ...], tuple[tuple[Partition, Partition], ...]]:
-    """Bucket (intensity, parts, count) rows, already sorted by descending
-    intensity, into classes; rows within MERGE_RTOL of a bucket's head are
-    absorbed into it.
+def _partition_report(
+    n: int, rows: list[tuple[float, tuple[int, ...], int]]
+) -> SpectrumReport:
+    """The one place a quantum class list is assembled, from one unsorted
+    ``(intensity, parts, count)`` row per partition of n.
 
-    A merged class keeps the head's intensity (the brightest member) but is
-    labelled by the lexicographically smallest member partition, so the label
-    never depends on which member's float happens to round higher.
+    Rows are sorted brightest first (ties by parts), and rows within
+    MERGE_RTOL of a bucket's head are absorbed into it. A merged class keeps
+    the head's intensity (the brightest member) but is labelled by the
+    lexicographically smallest member partition, so the label never depends
+    on which member's float happens to round higher.
     """
+    rows.sort(key=lambda row: (-row[0], row[1]))
     total = 1 << n
     classes: list[IntensityClass] = []
     merges: list[tuple[Partition, Partition]] = []
     i = 0
-    while i < len(raw):
-        head_intensity = raw[i][0]
+    while i < len(rows):
+        head_intensity = rows[i][0]
         j = i + 1
-        while j < len(raw) and head_intensity - raw[j][0] <= MERGE_RTOL * head_intensity:
+        while j < len(rows) and head_intensity - rows[j][0] <= MERGE_RTOL * head_intensity:
             j += 1
-        members = raw[i:j]
+        members = rows[i:j]
         label_parts = min(m[1] for m in members)
         label = Partition._trusted(label_parts, n)
         for _, parts, _ in members:
@@ -185,7 +187,14 @@ def _merged_classes(
             IntensityClass(label, head_intensity, sum(m[2] for m in members), total)
         )
         i = j
-    return tuple(classes), tuple(merges)
+    return SpectrumReport(
+        n=n,
+        kind="quantum",
+        classes=tuple(classes),
+        entropy_bits=_entropy_from_counts((c.count for c in classes), n),
+        bound_bits=asymptotic_log2_p(n),
+        merges=tuple(merges),
+    )
 
 
 def quantum_spectrum(n: int) -> SpectrumReport:
@@ -216,17 +225,8 @@ def quantum_spectrum(n: int) -> SpectrumReport:
         for g in parts:
             intensity *= cos_sq[g]
         raw.append((intensity, parts, 2 * orderings))
-    raw.sort(key=lambda row: (-row[0], row[1]))
 
-    classes, merges = _merged_classes(raw, n)
-    report = SpectrumReport(
-        n=n,
-        kind="quantum",
-        classes=classes,
-        entropy_bits=_entropy_from_counts((c.count for c in classes), n),
-        bound_bits=asymptotic_log2_p(n),
-        merges=merges,
-    )
+    report = _partition_report(n, raw)
     if n <= _QUANTUM_CACHE_MAX_N:
         _quantum_cache[n] = report
     return report
@@ -237,8 +237,12 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
     configurations one by one and bucket the measured intensities.
 
     Shares no intensity formula and no partition walk with
-    :func:`quantum_spectrum`, which is the point: the two must agree class
-    for class. Capped low because the sweep is exponential.
+    :func:`quantum_spectrum`: labels come from :func:`gaps`, intensities from
+    the stepwise :func:`simulate_intensity`, counts from tallying
+    configurations. Only the merge policy is shared, on purpose: the 2^n
+    results are reduced to one row per partition (brightest intensity,
+    configuration count) and assembled like the fast path's rows, so the two
+    must agree class for class. Capped low because the sweep is exponential.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -248,37 +252,16 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
     if cached is not None:
         return cached
 
-    rows = []
+    brightest: dict[tuple[int, ...], float] = {}
+    counts: dict[tuple[int, ...], int] = {}
     for index in range(1 << n):
         config = ApparatusConfig.from_index(n, index)
-        label = tuple(sorted(gaps(config).parts, reverse=True))
-        rows.append((simulate_intensity(config), label))
-    rows.sort(key=lambda row: (-row[0], row[1]))
+        parts = tuple(sorted(gaps(config).parts, reverse=True))
+        intensity = simulate_intensity(config)
+        brightest[parts] = max(intensity, brightest.get(parts, 0.0))
+        counts[parts] = counts.get(parts, 0) + 1
 
-    total = 1 << n
-    classes: list[IntensityClass] = []
-    merges: list[tuple[Partition, Partition]] = []
-    i = 0
-    while i < len(rows):
-        head_intensity = rows[i][0]
-        j = i + 1
-        while j < len(rows) and head_intensity - rows[j][0] <= MERGE_RTOL * head_intensity:
-            j += 1
-        member_parts = sorted({parts for _, parts in rows[i:j]})
-        label = Partition._trusted(member_parts[0], n)
-        for extra in member_parts[1:]:
-            merges.append((label, Partition._trusted(extra, n)))
-        classes.append(IntensityClass(label, head_intensity, j - i, total))
-        i = j
-
-    report = SpectrumReport(
-        n=n,
-        kind="quantum",
-        classes=tuple(classes),
-        entropy_bits=_entropy_from_counts((c.count for c in classes), n),
-        bound_bits=asymptotic_log2_p(n),
-        merges=tuple(merges),
-    )
+    report = _partition_report(n, [(brightest[p], p, c) for p, c in counts.items()])
     if n <= _BRUTE_CACHE_MAX_N:
         _brute_cache[n] = report
     return report

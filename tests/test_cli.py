@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -206,6 +207,12 @@ def test_cli_exit_codes(capsys, tmp_path):
         main(["nonsense"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):
+        assert main(["spectrum", "--n", "5", "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_writes_file(capsys, tmp_path):
@@ -239,6 +246,35 @@ def test_cli_output_deterministic(argv, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.endswith("\n")
+
+
+# sha256 of main(argv) stdout, recorded from the release before the table
+# renderer was unified; any change to the output bytes shows up here.
+PINNED_OUTPUT = [
+    ("partitions --n-max 30 --format table", "9ea4a5c6d94be5d1c6c44d78e228f7d46f7fa8ad03dc8421aa1d59e4d4b85763"),
+    ("partitions --n-max 30 --format csv", "fdbe13b47565a4dc6a2c80c88de86357d344fbbb6b28e8a4363b40b64011da2c"),
+    ("partitions --n-max 30 --format json", "3210ddabded5a903ac6b30f18b9d7805ba910fdbfec31e1ddd5919ca26dd71a1"),
+    ("spectrum --n 15 --format table", "ec38f3ac30dfc24a5291ba8ac06f2140151853732f42ceb7225eed2fa05a21a7"),
+    ("spectrum --n 15 --format csv", "d7ff6f211873220d6de7e82506e4b363743339f0d4d5f07a73ed2ce91c9ee0ed"),
+    ("spectrum --n 15 --format json", "7be5e6d898d41dda09458dbf6f1c35f2dcb0e7ca42bfabfaee14007a3e39121e"),
+    ("spectrum --n 6 --kind classical --format table", "c0d65151688eadbfd0d4caa0cb52150d042bd9e7525a91a083dd81b903a7c8ca"),
+    ("spectrum --n 6 --kind classical --format csv", "1a0ebe881871acb58c9fb7f6aa2bda4a65d1c3fe4e73cace8593cf2f1b1a912d"),
+    ("spectrum --n 6 --kind classical --format json", "9e85d99d627f88e52f68719798577b1c75fe0a93e6b5a10e220590abb7a21e6f"),
+    ("compare --n-max 12 --format table", "d76d467516f9815d2346cec15ebc06c9ea8035d70e1e923159d53acfbcf89fde"),
+    ("compare --n-max 12 --format csv", "0c45e40abc5a20089930a7be56034e0c21a03c0be611f7adc4a3a46acddeea1c"),
+    ("compare --n-max 12 --format json", "752d8f6c3113dad5ba5bd5280de88b285b5c13bf95cb41a7271371f9dd21aabe"),
+    ("zeno --n 1 2 10 --format table", "0fd43d92e289721cbae81f4519788028c9ec46662d1d4e6428ba22a77b79e46e"),
+    ("zeno --n 1 2 10 --format csv", "7d7c75a3a7ffdc7856019805eb4eb1608c16140176b819ba974e310dc5c34df3"),
+    ("zeno --n 1 2 10 --format json", "e1f173cb849fd79d46dee8290e74c777b3ee6207f3b2239df189249a83f0acc2"),
+    ("spectrum --n 15 --format json --precision 17", "f562aedc63bc008556a9d81ccc6e24475d0c0165eb18098f3e043fa051dd0a6c"),
+    ("compare --n-max 12 --format table --precision 17", "e444ce00787b16ba20af3b62960240619f636b28f3165f57cc688a272d9b0e50"),
+]
+
+
+@pytest.mark.parametrize("command, digest", PINNED_OUTPUT)
+def test_cli_output_bytes_pinned(command, digest, capsys):
+    assert main(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_verify_passes(capsys):
