@@ -11,7 +11,6 @@ builds the full intensity spectra, and quantifies the information gap.
 from .apparatus import (
     ApparatusConfig,
     GapComposition,
-    PolarizationState,
     classical_intensity,
     gaps,
     quantum_intensity,
@@ -62,7 +61,6 @@ __all__ = [
     "InformationPoint",
     "IntensityClass",
     "Partition",
-    "PolarizationState",
     "SpectrumReport",
     "asymptotic_log2_p",
     "brute_force_spectrum",

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 __all__ = [
     "ApparatusConfig",
     "GapComposition",
-    "PolarizationState",
     "classical_intensity",
     "gaps",
     "quantum_intensity",
@@ -79,35 +78,6 @@ class GapComposition:
             raise ValueError(f"gaps {self.parts} do not sum to n={self.n}")
 
 
-@dataclass(frozen=True, slots=True)
-class PolarizationState:
-    """Real horizontal and vertical amplitudes of a single photon mode."""
-
-    amp_h: float
-    amp_v: float
-
-    def __post_init__(self) -> None:
-        # Projections only ever shrink the norm; allow float slack on rotations.
-        if self.amp_h * self.amp_h + self.amp_v * self.amp_v > 1.0 + 1e-9:
-            raise ValueError("amplitude norm exceeds 1")
-
-    def rotated(self, angle: float) -> "PolarizationState":
-        c = math.cos(angle)
-        s = math.sin(angle)
-        return PolarizationState(
-            self.amp_h * c - self.amp_v * s,
-            self.amp_h * s + self.amp_v * c,
-        )
-
-    def projected_horizontal(self) -> "PolarizationState":
-        """State after a horizontal analyzer absorbs the vertical component."""
-        return PolarizationState(self.amp_h, 0.0)
-
-    @property
-    def horizontal_intensity(self) -> float:
-        return self.amp_h * self.amp_h
-
-
 def gaps(config: ApparatusConfig) -> GapComposition:
     """Distances from the source to each analyzing event, in beam order.
 
@@ -155,12 +125,14 @@ def simulate_intensity(config: ApparatusConfig) -> float:
     configuration (the exact zeros come out as ~1e-33 rounding residue).
     """
     step = math.pi / (2.0 * config.n)
-    state = PolarizationState(1.0, 0.0)
+    c = math.cos(step)
+    s = math.sin(step)
+    amp_h, amp_v = 1.0, 0.0  # real horizontal and vertical amplitudes
     for installed in config.present:
-        state = state.rotated(step)
+        amp_h, amp_v = amp_h * c - amp_v * s, amp_h * s + amp_v * c
         if installed:
-            state = state.projected_horizontal()
-    return state.projected_horizontal().horizontal_intensity
+            amp_v = 0.0
+    return amp_h * amp_h  # the detector passes only the horizontal amplitude
 
 
 def classical_intensity(config: ApparatusConfig, alpha: float) -> float:

@@ -343,14 +343,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _deliver(text: str, out: OutputSpec) -> int:
-    if out.destination is None:
-        sys.stdout.write(text)
-        return 0
+def _deliver(text: str, destination: Path | None) -> int:
+    """Write ``text`` to ``destination``, or to stdout when it is None.
+
+    A failed write (a missing directory, a full disk, a closed pipe) prints
+    one ``error:`` line and returns exit status 1. Stdout is flushed here so
+    that its failure is caught here too, not at interpreter exit.
+    """
     try:
-        out.destination.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write {out.destination}: {exc.strerror or exc}\n")
+        if destination is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            destination.write_text(text, encoding="utf-8")
+    except OSError as exc:  # BrokenPipeError included
+        target = "stdout" if destination is None else destination
+        sys.stderr.write(f"error: cannot write {target}: {exc.strerror or exc}\n")
         return 1
     return 0
 
@@ -360,8 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "verify":
             text, ok = cmd_verify()
-            sys.stdout.write(text)
-            return 0 if ok else 1
+            return _deliver(text, None) or (0 if ok else 1)
         out = OutputSpec(args.format, args.out, args.precision)
         if args.command == "partitions":
             text = cmd_partitions(args.n_max, out)
@@ -374,7 +381,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # CapacityError included
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return _deliver(text, out)
+    return _deliver(text, out.destination)
 
 
 if __name__ == "__main__":

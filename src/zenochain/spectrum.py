@@ -64,13 +64,11 @@ DEFAULT_ALPHA = 0.5
 
 _SUM_TOL = 1e-9
 
-# Reports are cached only at sizes where they are small; a cached n = 64
-# quantum report would pin ~1 GB. Plain dict: worst case under concurrent
-# use is duplicated work, results are identical.
+# Quantum reports are cached only at sizes where they are small; a cached
+# n = 64 report would pin ~1 GB. Plain dict: worst case under concurrent use
+# is duplicated work, results are identical.
 _QUANTUM_CACHE_MAX_N = 32
-_BRUTE_CACHE_MAX_N = 16
 _quantum_cache: dict[int, "SpectrumReport"] = {}
-_brute_cache: dict[int, "SpectrumReport"] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,10 +246,6 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > BRUTE_FORCE_CAP:
         raise CapacityError(f"brute_force_spectrum supports n <= {BRUTE_FORCE_CAP}, got {n}")
-    cached = _brute_cache.get(n)
-    if cached is not None:
-        return cached
-
     brightest: dict[tuple[int, ...], float] = {}
     counts: dict[tuple[int, ...], int] = {}
     for index in range(1 << n):
@@ -261,10 +255,7 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
         brightest[parts] = max(intensity, brightest.get(parts, 0.0))
         counts[parts] = counts.get(parts, 0) + 1
 
-    report = _partition_report(n, [(brightest[p], p, c) for p, c in counts.items()])
-    if n <= _BRUTE_CACHE_MAX_N:
-        _brute_cache[n] = report
-    return report
+    return _partition_report(n, [(brightest[p], p, c) for p, c in counts.items()])
 
 
 def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:

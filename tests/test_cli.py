@@ -1,8 +1,10 @@
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -213,6 +215,44 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {target}: ")
         assert captured.err.count("\n") == 1
+
+
+class FailingStdout(io.StringIO):
+    """Stdout whose ``write`` or ``flush`` raises, like a full disk or a closed pipe."""
+
+    def __init__(self, method, exc):
+        super().__init__()
+        self.method = method
+        self.exc = exc
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.exc
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.exc
+
+
+DISK_FULL = OSError(errno.ENOSPC, "No space left on device")
+PIPE_CLOSED = BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv,method,exc",
+    [
+        (["spectrum", "--n", "5"], "flush", DISK_FULL),
+        (["spectrum", "--n", "5"], "write", DISK_FULL),
+        (["spectrum", "--n", "5"], "write", PIPE_CLOSED),
+        (["verify"], "flush", DISK_FULL),
+        (["verify"], "write", PIPE_CLOSED),
+    ],
+)
+def test_cli_stdout_write_failure(argv, method, exc, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(method, exc))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write stdout: {exc.strerror}\n"
 
 
 def test_cli_writes_file(capsys, tmp_path):
