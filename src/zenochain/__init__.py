@@ -10,7 +10,6 @@ builds the full intensity spectra, and quantifies the information gap.
 
 from .apparatus import (
     ApparatusConfig,
-    GapComposition,
     classical_intensity,
     gaps,
     quantum_intensity,
@@ -57,7 +56,6 @@ __all__ = [
     "MERGE_RTOL",
     "ApparatusConfig",
     "CapacityError",
-    "GapComposition",
     "InformationPoint",
     "IntensityClass",
     "Partition",

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "ApparatusConfig",
-    "GapComposition",
     "classical_intensity",
     "gaps",
     "quantum_intensity",
@@ -35,12 +34,13 @@ class ApparatusConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        present = tuple(int(b) for b in self.present)
-        object.__setattr__(self, "present", present)
-        if len(present) != self.n:
-            raise ValueError(f"need {self.n} presence bits, got {len(present)}")
-        if any(b not in (0, 1) for b in present):
-            raise ValueError(f"presence bits must be 0 or 1, got {present}")
+        if len(self.present) != self.n:
+            raise ValueError(f"need {self.n} presence bits, got {len(self.present)}")
+        # Checked before converting, so 0.5 or "1" is rejected, not truncated
+        # or parsed; bools pass because they equal 0 and 1.
+        if not set(self.present) <= {0, 1}:
+            raise ValueError(f"presence bits must be 0 or 1, got {self.present}")
+        object.__setattr__(self, "present", tuple(map(int, self.present)))
 
     @classmethod
     def from_bits(cls, bits: str) -> "ApparatusConfig":
@@ -64,27 +64,14 @@ class ApparatusConfig:
         return "".join(map(str, self.present))
 
 
-@dataclass(frozen=True, slots=True)
-class GapComposition:
-    """Ordered distances between consecutive analyzing events; sums to ``n``."""
-
-    parts: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"gaps must be positive, got {self.parts}")
-        if sum(self.parts) != self.n:
-            raise ValueError(f"gaps {self.parts} do not sum to n={self.n}")
-
-
-def gaps(config: ApparatusConfig) -> GapComposition:
+def gaps(config: ApparatusConfig) -> tuple[int, ...]:
     """Distances from the source to each analyzing event, in beam order.
 
     Analyzing events are the installed polarizers plus the detector, which
     analyzes horizontally itself. A polarizer in the last slot makes the
     detector's projection redundant, so no zero-length gap is emitted; with
-    nothing installed the composition is the single gap ``(n,)``.
+    nothing installed the result is the single gap ``(n,)``. The gaps are
+    positive and sum to n.
     """
     parts = []
     last = 0
@@ -94,7 +81,7 @@ def gaps(config: ApparatusConfig) -> GapComposition:
             last = slot
     if last < config.n:
         parts.append(config.n - last)
-    return GapComposition(tuple(parts), config.n)
+    return tuple(parts)
 
 
 def quantum_intensity(config: ApparatusConfig) -> float:
@@ -107,7 +94,7 @@ def quantum_intensity(config: ApparatusConfig) -> float:
     """
     n = config.n
     result = 1.0
-    for g in gaps(config).parts:
+    for g in gaps(config):
         if g == n:
             return 0.0
         c = math.cos(g * math.pi / (2.0 * n))

@@ -126,6 +126,7 @@ def cmd_partitions(n_max: int, out: OutputSpec) -> str:
     """Exact partition counts p(1)..p(n_max), full decimal digits always."""
     if n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {n_max}")
+    partitions.count_partitions(n_max)  # the cap check, before any other work
     rows = [(n, partitions.count_partitions(n)) for n in range(1, n_max + 1)]
     return _render(out, ("n", "p_n"), rows)
 
@@ -275,7 +276,7 @@ def cmd_verify() -> tuple[str, bool]:
         for index in range(1 << n):
             config = apparatus.ApparatusConfig.from_index(n, index)
             gap = abs(apparatus.quantum_intensity(config) - apparatus.simulate_intensity(config))
-            if gap > worst:
+            if gap > worst or math.isnan(gap):  # a NaN, once seen, stays
                 worst = gap
         if spectrum.reports_match(spectrum.quantum_spectrum(n), spectrum.brute_force_spectrum(n)):
             matched += 1

@@ -88,7 +88,7 @@ class IntensityClass:
     def __post_init__(self) -> None:
         if not 1 <= self.count <= self.total:
             raise ValueError(f"count must lie in 1..{self.total}, got {self.count}")
-        if self.intensity < 0.0:
+        if not self.intensity >= 0.0:  # written so that NaN fails it too
             raise ValueError(f"intensity must be nonnegative, got {self.intensity}")
 
     @property
@@ -124,24 +124,24 @@ class SpectrumReport:
             raise ValueError(f"kind must be 'quantum' or 'classical', got {self.kind!r}")
         if sum(c.count for c in self.classes) != 1 << self.n:
             raise ValueError("class counts must cover all 2^n configurations exactly")
-        if self.entropy_bits > math.log2(len(self.classes)) + _SUM_TOL:
+        if not self.entropy_bits <= math.log2(len(self.classes)) + _SUM_TOL:
             raise ValueError("entropy exceeds log2 of the class count")
-        if self.entropy_bits > self.bound_bits + _SUM_TOL:
+        if not self.entropy_bits <= self.bound_bits + _SUM_TOL:
             raise ValueError("entropy exceeds its stated bound")
 
 
 def entropy(probabilities: Iterable[float]) -> float:
     """Shannon information of a discrete distribution, in bits.
 
-    Zero entries contribute nothing (0 log 0 = 0). Negative entries, or a
-    total off 1 by more than 1e-9, are rejected.
+    Zero entries contribute nothing (0 log 0 = 0). Negative or NaN entries,
+    or a total off 1 by more than 1e-9, are rejected.
     """
     ps = [float(p) for p in probabilities]
     for p in ps:
-        if p < 0.0:
+        if not p >= 0.0:
             raise ValueError(f"probabilities must be nonnegative, got {p}")
     total = math.fsum(ps)
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:
         raise ValueError(f"probabilities must sum to 1, got {total!r}")
     return -math.fsum(p * math.log2(p) for p in ps if p > 0.0)
 
@@ -250,7 +250,7 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
     counts: dict[tuple[int, ...], int] = {}
     for index in range(1 << n):
         config = ApparatusConfig.from_index(n, index)
-        parts = tuple(sorted(gaps(config).parts, reverse=True))
+        parts = tuple(sorted(gaps(config), reverse=True))
         intensity = simulate_intensity(config)
         brightest[parts] = max(intensity, brightest.get(parts, 0.0))
         counts[parts] = counts.get(parts, 0) + 1
@@ -346,12 +346,13 @@ def reports_match(
     a: SpectrumReport, b: SpectrumReport, intensity_tol: float = 1e-12
 ) -> bool:
     """True when two reports resolve the same classes: equal labels and
-    counts position by position, intensities within ``intensity_tol``."""
+    counts position by position, intensities within ``intensity_tol``.
+    A NaN intensity or tolerance never matches."""
     if a.n != b.n or len(a.classes) != len(b.classes):
         return False
     for ca, cb in zip(a.classes, b.classes):
         if ca.label != cb.label or ca.count != cb.count:
             return False
-        if abs(ca.intensity - cb.intensity) > intensity_tol:
+        if not abs(ca.intensity - cb.intensity) <= intensity_tol:
             return False
     return True

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from zenochain import apparatus, spectrum
+from zenochain import apparatus, partitions, spectrum
 from zenochain.cli import (
     OutputSpec,
     cmd_compare,
@@ -217,6 +217,20 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert captured.err.count("\n") == 1
 
 
+def test_partitions_cap_checked_before_work(monkeypatch, capsys):
+    calls = []
+    real = partitions.count_partitions
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(partitions, "count_partitions", counted)
+    assert main(["partitions", "--n-max", str(partitions.COUNT_CAP + 1)]) == 1
+    assert len(calls) <= 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class FailingStdout(io.StringIO):
     """Stdout whose ``write`` or ``flush`` raises, like a full disk or a closed pipe."""
 
@@ -334,11 +348,19 @@ def test_verify_catches_tampering(monkeypatch, capsys):
         value = real(config)
         return value * 0.999 if value > 0 else value
 
-    monkeypatch.setattr(apparatus, "quantum_intensity", crooked)
-    assert main(["verify"]) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(apparatus, "quantum_intensity", crooked)
+        assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "some checks FAILED" in out
+
+    # an oracle that returns NaN passes no tolerance check
+    monkeypatch.setattr(apparatus, "simulate_intensity", lambda config: math.nan)
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "oracle max |difference| (n<=16)=nan (expected <= 1e-12): FAIL" in lines
+    assert lines[-1] == "some checks FAILED"
 
 
 def test_output_spec_validation():

@@ -132,6 +132,20 @@ def test_reports_match_rejects_differences():
         bound_bits=q3.bound_bits,
     )
     assert not reports_match(q3, shifted)
+    # a NaN never matches; IntensityClass rejects one, so it is forced in here
+    first = q3.classes[0]
+    bright = IntensityClass(first.label, 1.0, first.count, first.total)
+    poisoned = IntensityClass(first.label, 1.0, first.count, first.total)
+    object.__setattr__(poisoned, "intensity", math.nan)
+    reports = [
+        SpectrumReport(n=q3.n, kind=q3.kind, classes=(c,) + q3.classes[1:],
+                       entropy_bits=q3.entropy_bits, bound_bits=q3.bound_bits)
+        for c in (bright, poisoned)
+    ]
+    assert reports_match(reports[0], reports[0])
+    assert not reports_match(reports[0], reports[1])
+    assert not reports_match(reports[1], reports[0])
+    assert not reports_match(q3, q3, intensity_tol=math.nan)
 
 
 def test_classical_spectrum_n3():
@@ -204,6 +218,9 @@ def test_entropy_validation():
         entropy((0.5, 0.4))
     with pytest.raises(ValueError):
         entropy(())
+    for ps in ((math.nan,), (0.5, math.nan, 0.5)):
+        with pytest.raises(ValueError):
+            entropy(ps)
 
 
 def test_qubit_channel_information():
@@ -214,6 +231,8 @@ def test_qubit_channel_information():
     assert qubit_channel_information(0.5, 0.5, 0.0) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         qubit_channel_information(0.9, 0.3, 0.1)
+    with pytest.raises(ValueError):
+        qubit_channel_information(math.nan, 0.5, 0.5)
 
 
 def test_information_series_rows():
@@ -270,6 +289,12 @@ def test_spectrum_report_validation():
             n=2, kind="quantum", classes=good.classes,
             entropy_bits=5.0, bound_bits=good.bound_bits,
         )
+    for entropy_bits, bound_bits in ((math.nan, good.bound_bits), (good.entropy_bits, math.nan)):
+        with pytest.raises(ValueError):
+            SpectrumReport(
+                n=2, kind="quantum", classes=good.classes,
+                entropy_bits=entropy_bits, bound_bits=bound_bits,
+            )
 
 
 def test_intensity_class_validation():
@@ -277,8 +302,9 @@ def test_intensity_class_validation():
         IntensityClass(Partition((1,)), 0.5, 0, 2)
     with pytest.raises(ValueError):
         IntensityClass(Partition((1,)), 0.5, 3, 2)
-    with pytest.raises(ValueError):
-        IntensityClass(Partition((1,)), -0.5, 1, 2)
+    for intensity in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            IntensityClass(Partition((1,)), intensity, 1, 2)
 
 
 def test_intensity_class_probability_views():
