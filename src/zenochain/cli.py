@@ -6,6 +6,7 @@ class list), ``compare`` (classical vs quantum information series), ``zeno``
 built-in reference values and report each comparison).
 
 Output is deterministic: identical invocations produce byte-identical bytes.
+It is written to its destination as it is rendered, never held whole.
 Exit status is 0 when everything succeeded, 1 when a computation, a check or
 writing the output failed, 2 for usage errors.
 """
@@ -14,14 +15,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Sequence
 
 from . import apparatus, partitions, spectrum
 
@@ -69,60 +72,81 @@ def _render(
     lead: Sequence[tuple[str, object]] = (),
     tail: Sequence[tuple[str, Sequence[str], Iterable[Sequence[object]]]] = (),
     footers: Sequence[str] = (),
-) -> str:
-    """Render typed rows in ``out.format``; the one renderer of every subcommand.
+) -> Iterator[str]:
+    """Yield typed rows rendered in ``out.format``, in chunks of a row or so.
 
-    Ints and strings print as ``str``, floats at ``out.precision`` significant
-    digits (a number rounded the same way in JSON), a Partition as ``8+4+2+1``
-    (its list of parts in JSON). ``lead`` fields become ``# key=value`` lines
-    in CSV and the leading keys in JSON. JSON lists the rows under ``key``,
-    then each ``(name, headers, rows)`` table of ``tail``. ``footers`` are
-    lines appended to the table format only.
+    The one renderer of every subcommand. Ints and strings print as ``str``,
+    floats at ``out.precision`` significant digits (a number rounded the same
+    way in JSON), a Partition as ``8+4+2+1`` (its list of parts in JSON).
+    ``lead`` fields become ``# key=value`` lines in CSV and the leading keys
+    in JSON. JSON lists the rows under ``key``, then each
+    ``(name, headers, rows)`` table of ``tail``. ``footers`` are lines
+    appended to the table format only.
+
+    JSON is written row by row in the layout ``json.dumps(..., indent=2)``
+    gives the same document, with json's own spellings of strings, ints and
+    floats; the rows hold no other types. The table format holds every row's
+    cells to size its columns; CSV and JSON hold one row at a time.
     """
     spec = f".{out.precision}g"  # the format _fmt applies, built once per render
 
     def text(value: object) -> str:
         return format(value, spec) if isinstance(value, float) else str(value)
 
-    def json_value(value: object) -> object:
-        if isinstance(value, float):
-            return float(format(value, spec))
-        if isinstance(value, partitions.Partition):
-            return list(value.parts)
-        return value
-
     if out.format == "json":
-        def records(names, table):
-            return [{h: json_value(v) for h, v in zip(names, row)} for row in table]
+        def json_text(value: object) -> str:
+            if isinstance(value, float):
+                value = float(format(value, spec))
+                return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+            if isinstance(value, partitions.Partition):  # only ever a record field
+                return "[\n        " + ",\n        ".join(map(str, value.parts)) + "\n      ]"
+            if isinstance(value, str):
+                return encode_basestring_ascii(value)
+            return int.__repr__(value)
 
-        payload = {name: json_value(value) for name, value in lead}
-        payload[key] = records(headers, rows)
-        for name, names, table in tail:
-            payload[name] = records(names, table)
-        return json.dumps(payload, indent=2) + "\n"
+        def records(names: Sequence[str], table: Iterable[Sequence[object]]) -> Iterator[str]:
+            fields = [f"\n      {encode_basestring_ascii(h)}: " for h in names]
+            first = True
+            for row in table:
+                yield ("[\n    {" if first else "\n    },\n    {") + ",".join(
+                    [f + json_text(v) for f, v in zip(fields, row)])
+                first = False
+            yield "[]" if first else "\n    }\n  ]"
+
+        sep = "{\n  "
+        for name, value in lead:
+            yield f"{sep}{encode_basestring_ascii(name)}: {json_text(value)}"
+            sep = ",\n  "
+        for name, names, table in ((key, headers, rows), *tail):
+            yield f"{sep}{encode_basestring_ascii(name)}: "
+            yield from records(names, table)
+            sep = ",\n  "
+        yield "\n}\n"
+        return
     cells = (tuple(map(text, row)) for row in rows)
     if out.format == "csv":
-        buf = io.StringIO()
         for name, value in lead:
-            buf.write(f"# {name}={text(value)}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(cells)
-        return buf.getvalue()
+            yield f"# {name}={text(value)}\n"
+        pending: list[str] = []  # what the writer wrote for the row in hand
+        writer = csv.writer(SimpleNamespace(write=pending.append), lineterminator="\n")
+        for row in itertools.chain([headers], cells):
+            writer.writerow(row)
+            yield "".join(pending)
+            pending.clear()
+        return
     cells = list(cells)
     widths = [len(h) for h in headers]
     for row in cells:
         for i, cell in enumerate(row):
             if len(cell) > widths[i]:
                 widths[i] = len(cell)
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip())
-    lines.extend(footers)
-    return "\n".join(lines) + "\n"
+    for row in itertools.chain([headers], cells):
+        yield "  ".join([c.rjust(w) for c, w in zip(row, widths)]).rstrip() + "\n"
+    for line in footers:
+        yield line + "\n"
 
 
-def cmd_partitions(n_max: int, out: OutputSpec) -> str:
+def cmd_partitions(n_max: int, out: OutputSpec) -> Iterator[str]:
     """Exact partition counts p(1)..p(n_max), full decimal digits always."""
     if n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {n_max}")
@@ -131,7 +155,7 @@ def cmd_partitions(n_max: int, out: OutputSpec) -> str:
     return _render(out, ("n", "p_n"), rows)
 
 
-def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> str:
+def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> Iterator[str]:
     """Class list for one chain size, brightest class first."""
     if kind == "quantum":
         report = spectrum.quantum_spectrum(n)
@@ -166,7 +190,7 @@ def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> str:
     )
 
 
-def cmd_compare(n_min: int, n_max: int, out: OutputSpec) -> str:
+def cmd_compare(n_min: int, n_max: int, out: OutputSpec) -> Iterator[str]:
     """Classical vs quantum information, one row per chain size."""
     points = spectrum.information_series(n_min, n_max)
     headers = (
@@ -191,7 +215,7 @@ def cmd_compare(n_min: int, n_max: int, out: OutputSpec) -> str:
     return _render(out, headers, rows)
 
 
-def cmd_zeno(ns: Sequence[int], out: OutputSpec) -> str:
+def cmd_zeno(ns: Sequence[int], out: OutputSpec) -> Iterator[str]:
     """Survival of the fully instrumented chain next to its lower bound.
 
     The bound column holds 1 - pi^2/(4n), which is meaningful only for
@@ -344,19 +368,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _deliver(text: str, destination: Path | None) -> int:
-    """Write ``text`` to ``destination``, or to stdout when it is None.
+def _deliver(chunks: Iterable[str], destination: Path | None) -> int:
+    """Write ``chunks`` as they arrive to ``destination``, or to stdout when it is None.
 
-    A failed write (a missing directory, a full disk, a closed pipe) prints
-    one ``error:`` line and returns exit status 1. Stdout is flushed here so
-    that its failure is caught here too, not at interpreter exit.
+    The file is opened only here, after the computation behind ``chunks``
+    has succeeded. A failed write (a missing directory, a full disk, a
+    closed pipe) prints one ``error:`` line and returns exit status 1; when
+    it fails mid-stream, the chunks written before it stay written. Stdout
+    is flushed here so that its failure is caught here too, not at
+    interpreter exit.
     """
     try:
         if destination is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         else:
-            destination.write_text(text, encoding="utf-8")
+            with destination.open("w", encoding="utf-8") as file:
+                file.writelines(chunks)
     except OSError as exc:  # BrokenPipeError included
         target = "stdout" if destination is None else destination
         sys.stderr.write(f"error: cannot write {target}: {exc.strerror or exc}\n")
@@ -369,20 +397,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "verify":
             text, ok = cmd_verify()
-            return _deliver(text, None) or (0 if ok else 1)
+            return _deliver((text,), None) or (0 if ok else 1)
         out = OutputSpec(args.format, args.out, args.precision)
         if args.command == "partitions":
-            text = cmd_partitions(args.n_max, out)
+            chunks = cmd_partitions(args.n_max, out)
         elif args.command == "spectrum":
-            text = cmd_spectrum(args.n, args.kind, args.alpha, out)
+            chunks = cmd_spectrum(args.n, args.kind, args.alpha, out)
         elif args.command == "compare":
-            text = cmd_compare(args.n_min, args.n_max, out)
+            chunks = cmd_compare(args.n_min, args.n_max, out)
         else:
-            text = cmd_zeno(args.n, out)
+            chunks = cmd_zeno(args.n, out)
     except ValueError as exc:  # CapacityError included
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return _deliver(text, out.destination)
+    return _deliver(chunks, out.destination)
 
 
 if __name__ == "__main__":

@@ -252,7 +252,10 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
         config = ApparatusConfig.from_index(n, index)
         parts = tuple(sorted(gaps(config), reverse=True))
         intensity = simulate_intensity(config)
-        brightest[parts] = max(intensity, brightest.get(parts, 0.0))
+        kept = brightest.get(parts, 0.0)
+        if intensity > kept or math.isnan(intensity):  # a NaN, once seen, stays
+            kept = intensity
+        brightest[parts] = kept
         counts[parts] = counts.get(parts, 0) + 1
 
     return _partition_report(n, [(brightest[p], p, c) for p, c in counts.items()])

@@ -11,6 +11,7 @@ import pytest
 from zenochain import apparatus, partitions, spectrum
 from zenochain.cli import (
     OutputSpec,
+    _render,
     cmd_compare,
     cmd_partitions,
     cmd_spectrum,
@@ -38,7 +39,7 @@ def parse_csv(text):
 
 
 def test_partitions_table():
-    text = cmd_partitions(10, TABLE)
+    text = "".join(cmd_partitions(10, TABLE))
     lines = text.splitlines()
     assert lines[0].split() == ["n", "p_n"]
     assert len(lines) == 11
@@ -47,7 +48,7 @@ def test_partitions_table():
 
 
 def test_partitions_csv_roundtrip():
-    _, header, rows = parse_csv(cmd_partitions(100, CSV))
+    _, header, rows = parse_csv("".join(cmd_partitions(100, CSV)))
     assert header == ["n", "p_n"]
     assert len(rows) == 100
     assert rows[99] == ["100", "190569292"]
@@ -56,18 +57,18 @@ def test_partitions_csv_roundtrip():
 
 
 def test_partitions_json():
-    payload = json.loads(cmd_partitions(10, JSON))
+    payload = json.loads("".join(cmd_partitions(10, JSON)))
     assert payload["rows"][2] == {"n": 3, "p_n": 3}
     assert payload["rows"][9] == {"n": 10, "p_n": 42}
 
 
 def test_partitions_rejects_zero():
     with pytest.raises(ValueError):
-        cmd_partitions(0, TABLE)
+        cmd_partitions(0, TABLE)  # raises at the call, before any chunk
 
 
 def test_spectrum_table_n3():
-    text = cmd_spectrum(3, "quantum", 0.5, TABLE)
+    text = "".join(cmd_spectrum(3, "quantum", 0.5, TABLE))
     lines = text.splitlines()
     assert lines[0].split() == [
         "label", "intensity", "count", "probability", "probability_float",
@@ -81,7 +82,7 @@ def test_spectrum_table_n3():
 
 def test_spectrum_csv_roundtrip():
     report = spectrum.quantum_spectrum(5)
-    meta, header, rows = parse_csv(cmd_spectrum(5, "quantum", 0.5, CSV))
+    meta, header, rows = parse_csv("".join(cmd_spectrum(5, "quantum", 0.5, CSV)))
     assert meta["n"] == "5"
     assert meta["kind"] == "quantum"
     assert meta["merges"] == "0"
@@ -98,18 +99,18 @@ def test_spectrum_csv_roundtrip():
 
 
 def test_spectrum_csv_reports_merges():
-    meta, _, rows = parse_csv(cmd_spectrum(15, "quantum", 0.5, CSV))
+    meta, _, rows = parse_csv("".join(cmd_spectrum(15, "quantum", 0.5, CSV)))
     assert meta["merges"] == "1"
     assert len(rows) == 175
 
 
 def test_spectrum_table_merge_footer():
-    text = cmd_spectrum(15, "quantum", 0.5, TABLE)
+    text = "".join(cmd_spectrum(15, "quantum", 0.5, TABLE))
     assert "merged 8+4+2+1 into 7+6+1+1 (same intensity)" in text
 
 
 def test_spectrum_json_schema():
-    payload = json.loads(cmd_spectrum(3, "quantum", 0.5, JSON))
+    payload = json.loads("".join(cmd_spectrum(3, "quantum", 0.5, JSON)))
     assert payload["n"] == 3
     assert payload["kind"] == "quantum"
     assert payload["entropy_bits"] == 1.5
@@ -125,26 +126,26 @@ def test_spectrum_json_schema():
 
 
 def test_spectrum_classical():
-    payload = json.loads(cmd_spectrum(3, "classical", 0.5, JSON))
+    payload = json.loads("".join(cmd_spectrum(3, "classical", 0.5, JSON)))
     assert [c["label"] for c in payload["classes"]] == [0, 1, 2, 3]
     assert [c["count"] for c in payload["classes"]] == [1, 3, 3, 1]
     assert payload["entropy_bits"] == pytest.approx(1.81128, abs=1e-5)
-    text = cmd_spectrum(3, "classical", 0.25, CSV)
+    text = "".join(cmd_spectrum(3, "classical", 0.25, CSV))
     _, _, rows = parse_csv(text)
     assert [row[1] for row in rows] == ["1", "0.25", "0.0625", "0.015625"]
 
 
 def test_spectrum_precision_flag():
-    text = cmd_spectrum(3, "quantum", 0.5, OutputSpec(format="csv", precision=3))
+    text = "".join(cmd_spectrum(3, "quantum", 0.5, OutputSpec(format="csv", precision=3)))
     _, _, rows = parse_csv(text)
     assert rows[0][1] == "0.422"
-    full = cmd_spectrum(3, "quantum", 0.5, OutputSpec(format="csv", precision=17))
+    full = "".join(cmd_spectrum(3, "quantum", 0.5, OutputSpec(format="csv", precision=17)))
     _, _, rows17 = parse_csv(full)
     assert float(rows17[0][1]) == spectrum.quantum_spectrum(3).classes[0].intensity
 
 
 def test_compare_series():
-    meta_free = cmd_compare(1, 10, CSV)
+    meta_free = "".join(cmd_compare(1, 10, CSV))
     _, header, rows = parse_csv(meta_free)
     assert header == [
         "n",
@@ -165,13 +166,13 @@ def test_compare_series():
 
 
 def test_compare_json():
-    payload = json.loads(cmd_compare(2, 4, JSON))
+    payload = json.loads("".join(cmd_compare(2, 4, JSON)))
     assert [row["n"] for row in payload["rows"]] == [2, 3, 4]
     assert payload["rows"][1]["entropy_quantum_bits"] == 1.5
 
 
 def test_zeno_output():
-    meta, header, rows = parse_csv(cmd_zeno([1, 3, 10_000], CSV))
+    meta, header, rows = parse_csv("".join(cmd_zeno([1, 3, 10_000], CSV)))
     assert header == ["n", "survival", "lower_bound"]
     assert rows[0][0] == "1" and float(rows[0][1]) == 0.0
     assert float(rows[0][2]) < 0.0
@@ -182,10 +183,10 @@ def test_zeno_output():
 
 
 def test_zeno_table_flags_small_n():
-    text = cmd_zeno([1, 3], TABLE)
+    text = "".join(cmd_zeno([1, 3], TABLE))
     assert "*" in text
     assert "bound applies for n >= 2 only" in text
-    clean = cmd_zeno([3, 4], TABLE)
+    clean = "".join(cmd_zeno([3, 4], TABLE))
     assert "*" not in clean
 
 
@@ -232,16 +233,22 @@ def test_partitions_cap_checked_before_work(monkeypatch, capsys):
 
 
 class FailingStdout(io.StringIO):
-    """Stdout whose ``write`` or ``flush`` raises, like a full disk or a closed pipe."""
+    """Stdout whose ``write`` or ``flush`` raises, like a full disk or a closed pipe.
 
-    def __init__(self, method, exc):
+    ``write`` succeeds ``writes`` times before it starts to raise.
+    """
+
+    def __init__(self, method, exc, writes=0):
         super().__init__()
         self.method = method
         self.exc = exc
+        self.writes = writes
 
     def write(self, text):
         if self.method == "write":
-            raise self.exc
+            if self.writes <= 0:
+                raise self.exc
+            self.writes -= 1
         return super().write(text)
 
     def flush(self):
@@ -269,19 +276,42 @@ def test_cli_stdout_write_failure(argv, method, exc, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: cannot write stdout: {exc.strerror}\n"
 
 
+@pytest.mark.parametrize("exc", [DISK_FULL, PIPE_CLOSED])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_cli_stdout_fails_mid_stream(fmt, exc, monkeypatch, capsys):
+    stdout = FailingStdout("write", exc, writes=3)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["spectrum", "--n", "12", "--format", fmt]) == 1
+    assert capsys.readouterr().err == f"error: cannot write stdout: {exc.strerror}\n"
+    full = "".join(cmd_spectrum(12, "quantum", 0.5, OutputSpec(format=fmt)))
+    partial = stdout.getvalue()
+    assert partial and full.startswith(partial) and len(partial) < len(full)
+
+
+def test_cli_failed_computation_leaves_out_untouched(capsys, tmp_path):
+    target = tmp_path / "spectrum.txt"
+    assert main(["spectrum", "--n", "65", "--out", str(target)]) == 1
+    assert not target.exists()
+    target.write_text("kept\n", encoding="utf-8")
+    assert main(["spectrum", "--n", "65", "--out", str(target)]) == 1
+    assert target.read_text(encoding="utf-8") == "kept\n"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
 def test_cli_writes_file(capsys, tmp_path):
     target = tmp_path / "out.csv"
     assert main(["spectrum", "--n", "4", "--format", "csv", "--out", str(target)]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
     text = target.read_text(encoding="utf-8")
-    assert text == cmd_spectrum(4, "quantum", 0.5, CSV)
+    assert text == "".join(cmd_spectrum(4, "quantum", 0.5, CSV))
 
 
 def test_cli_stdout_matches_cmd(capsys):
     assert main(["zeno", "--n", "2", "8", "--format", "json", "--precision", "9"]) == 0
     out = capsys.readouterr().out
-    assert out == cmd_zeno([2, 8], OutputSpec(format="json", precision=9))
+    assert out == "".join(cmd_zeno([2, 8], OutputSpec(format="json", precision=9)))
 
 
 @pytest.mark.parametrize(
@@ -329,6 +359,48 @@ PINNED_OUTPUT = [
 def test_cli_output_bytes_pinned(command, digest, capsys):
     assert main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of `spectrum --n 38` stdout (26,015 classes), the size the benchmark's
+# spectrum-large workload renders; the same digests as perfbench/reference.json.
+PINNED_OUTPUT_38 = [
+    ("table", "53c429fa99c3514a3273684a1dec496813495e53bf371966bfad65036c02d6de"),
+    ("csv", "bd6a8ec772f10abb8b4641f5415ed2572a8aa61025c6977a5917f402ce04778d"),
+    ("json", "d46bbaf014d9b03ecb6b3185dd5d8715b68415950cc13576ff4619f3c52285d2"),
+]
+
+
+@pytest.mark.parametrize("fmt, digest", PINNED_OUTPUT_38)
+def test_cli_output_bytes_pinned_n38(fmt, digest, capsys):
+    assert main(["spectrum", "--n", "38", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command",
+    [command for command, _ in PINNED_OUTPUT if "--format json" in command]
+    + ["spectrum --n 15 --kind classical --format json", "spectrum --n 3 --format json"],
+)
+def test_cli_json_layout_is_json_dumps(command, capsys):
+    # the JSON renderer writes row by row; its bytes must be those of
+    # json.dumps(indent=2) of the same document ("merges": [] at n = 3)
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_render_json_spells_values_as_json_does():
+    # values no subcommand emits today: non-finite floats, a non-ASCII string,
+    # an empty tail table
+    rows = [(1, math.nan, 'a\u00e9"'), (2, math.inf, "x"), (3, -math.inf, "y"), (4, 1e-320, "z")]
+    text = "".join(_render(JSON, ("n", "v", "s"), rows, lead=[("k", 0.1)],
+                           tail=[("empty", ("a",), [])]))
+    payload = {
+        "k": 0.1,
+        "rows": [{"n": n, "v": float(f"{v:.6g}"), "s": s} for n, v, s in rows],
+        "empty": [],
+    }
+    assert text == json.dumps(payload, indent=2) + "\n"
 
 
 def test_verify_passes(capsys):

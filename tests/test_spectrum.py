@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from zenochain import spectrum
 from zenochain.partitions import CapacityError, Partition, count_partitions, state_count
 from zenochain.spectrum import (
     BRUTE_FORCE_CAP,
@@ -106,6 +107,19 @@ def test_brute_force_matches_quantum_at_collision():
     b = brute_force_spectrum(15)
     assert reports_match(q, b)
     assert b.merges == q.merges
+
+
+def test_brute_force_keeps_an_oracle_nan(monkeypatch):
+    # (1, 0, 0, 0) is not the last configuration of its partition, so a
+    # finite intensity of the same partition follows the NaN
+    real = spectrum.simulate_intensity
+
+    def poisoned(config):
+        return math.nan if config.present == (1, 0, 0, 0) else real(config)
+
+    monkeypatch.setattr(spectrum, "simulate_intensity", poisoned)
+    with pytest.raises(ValueError, match="intensity must be nonnegative, got nan"):
+        brute_force_spectrum(4)
 
 
 def test_brute_force_n12_class_count():
