@@ -31,7 +31,6 @@ from .spectrum import (
     BRUTE_FORCE_CAP,
     CLASSICAL_CAP,
     DEFAULT_ALPHA,
-    MERGE_RTOL,
     InformationPoint,
     IntensityClass,
     SpectrumReport,
@@ -53,7 +52,6 @@ __all__ = [
     "COUNT_CAP",
     "DEFAULT_ALPHA",
     "ENUMERATION_CAP",
-    "MERGE_RTOL",
     "ApparatusConfig",
     "CapacityError",
     "InformationPoint",

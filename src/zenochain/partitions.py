@@ -2,7 +2,8 @@
 
 Exact partition counts, canonical enumeration, and the number of apparatus
 configurations realizing each partition. Everything here is exact integer
-arithmetic; the only float is the asymptotic bit estimate.
+arithmetic; the only floats are the asymptotic bit estimate and the product
+of per-part weights that the one partition walk carries for its callers.
 
 All functions are pure and safe to call concurrently; the count cache is
 guarded by a lock and enumeration order is deterministic.
@@ -116,32 +117,70 @@ def count_partitions(n: int) -> int:
     return _count_cache[n]
 
 
-def _partition_profiles(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield ``(parts, orderings)`` for every partition of ``n``.
+def _partition_profiles(
+    n: int, weights: list[float]
+) -> Iterator[tuple[float, tuple[int, ...], int]]:
+    """Yield ``(product, parts, count)`` for every partition of ``n``.
 
     ``parts`` is non-increasing and the sequence is reverse-lexicographic:
-    ``(n,)`` first, all ones last. ``orderings`` is the number of distinct
-    sequencings of the parts, m! / prod(multiplicity_j!), accumulated during
-    the walk so large sweeps avoid a factorial recomputation per partition.
+    ``(n,)`` first, all ones last. ``count`` is the state count,
+    2 m! / prod(multiplicity_j!), accumulated during the walk so large sweeps
+    avoid a factorial recomputation per partition. ``product`` is the product
+    of ``weights[g]`` over the parts g, carried down the walk as a prefix: one
+    multiply per appended part, in the order of the parts, so it has the same
+    bits as ``1.0 * weights[parts[0]] * weights[parts[1]] * ...`` evaluated
+    left to right.
     """
     fact = [math.factorial(i) for i in range(n + 1)]
-    parts: list[int] = []
+    return _walk((), 1.0, 0, 1, n, n, weights, fact, [2 * f for f in fact])
 
-    def walk(remaining: int, max_value: int, m: int, denom: int):
-        top = remaining if max_value > remaining else max_value
-        for value in range(top, 0, -1):
-            for mult in range(remaining // value, 0, -1):
-                rest = remaining - value * mult
-                if rest and value == 1:
-                    break  # ones must absorb the whole remainder
-                parts.extend([value] * mult)
-                if rest == 0:
-                    yield tuple(parts), fact[m + mult] // (denom * fact[mult])
-                else:
-                    yield from walk(rest, value - 1, m + mult, denom * fact[mult])
-                del parts[len(parts) - mult:]
 
-    return walk(n, n, 0, 1)
+def _walk(prefix, product, m, denom, remaining, max_value, weights, fact, twice_fact):
+    # Partitions of ``remaining`` into parts <= max_value, appended to the m
+    # parts of ``prefix``; ``product`` and ``denom`` (the product of the
+    # multiplicities' factorials) belong to the prefix. A module-level
+    # generator rather than a closure over itself: a self-referencing closure
+    # is a reference cycle that keeps its tables alive until the cycle
+    # collector runs.
+    for value in range(min(remaining, max_value), 0, -1):
+        weight = weights[value]
+        products = []  # products[k - 1]: the prefix's product times k copies of weight
+        running = product
+        for _ in range(remaining // value):
+            running *= weight
+            products.append(running)
+        mult, rest = divmod(remaining, value)
+        if rest == 0:  # value fills the remainder exactly: a leaf
+            yield (
+                products[-1],
+                prefix + (value,) * mult,
+                twice_fact[m + mult] // (denom * fact[mult]),
+            )
+            mult -= 1
+            rest = value
+        if value == 1:
+            return  # ones must absorb the whole remainder
+        if value == 2:
+            # Below a 2 only ones can follow, so each k twos is one leaf:
+            # yield it here rather than open a generator for a one-leaf walk.
+            one = weights[1]
+            for k in range(mult, 0, -1):
+                running = products[k - 1]
+                for _ in range(rest):
+                    running *= one
+                yield (
+                    running,
+                    prefix + (2,) * k + (1,) * rest,
+                    twice_fact[m + k + rest] // (denom * fact[k] * fact[rest]),
+                )
+                rest += 2
+            continue  # the all-ones leaf comes from value 1
+        for k in range(mult, 0, -1):
+            yield from _walk(
+                prefix + (value,) * k, products[k - 1], m + k,
+                denom * fact[k], rest, value - 1, weights, fact, twice_fact,
+            )
+            rest += value
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -156,7 +195,8 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         raise CapacityError(
             f"enumerate_partitions supports n <= {ENUMERATION_CAP}, got {n}"
         )
-    return (Partition._trusted(parts, n) for parts, _ in _partition_profiles(n))
+    ones = [1.0] * (n + 1)
+    return (Partition._trusted(parts, n) for _, parts, _ in _partition_profiles(n, ones))
 
 
 def state_count(partition: Partition) -> int:

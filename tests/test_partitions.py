@@ -152,22 +152,52 @@ def test_state_counts_cover_all_configurations(n):
     assert sum(state_count(p) for p in enumerate_partitions(n)) == 2 ** n
 
 
+def _ones(n):
+    return [1.0] * (n + 1)
+
+
+def _cos_sq(n):
+    # the per-part factors quantum_spectrum walks with
+    weights = [0.0] * (n + 1)
+    for g in range(1, n):
+        c = math.cos(g * math.pi / (2.0 * n))
+        weights[g] = c * c
+    return weights
+
+
 @pytest.mark.parametrize("n", range(1, 16))
 def test_profiles_agree_with_state_count(n):
     # the walker accumulates orderings incrementally; state_count recomputes
     # the multinomial from scratch
-    for parts, orderings in _partition_profiles(n):
-        assert 2 * orderings == state_count(Partition(parts))
+    for _, parts, count in _partition_profiles(n, _ones(n)):
+        assert count == state_count(Partition(parts))
 
 
 def test_profiles_random_spot_checks():
     rng = random.Random(20260817)
     for _ in range(50):
         n = rng.randint(20, 36)
-        profiles = list(_partition_profiles(n))
+        profiles = list(_partition_profiles(n, _ones(n)))
         assert len(profiles) == count_partitions(n)
-        parts, orderings = profiles[rng.randrange(len(profiles))]
-        assert 2 * orderings == state_count(Partition(parts))
+        _, parts, count = profiles[rng.randrange(len(profiles))]
+        assert count == state_count(Partition(parts))
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_profiles_prefix_product_is_bit_exact(n):
+    # the walk carries the product down as a prefix; it must have the bits
+    # of the product taken over each partition's parts from scratch, for the
+    # weights quantum_spectrum uses and for arbitrary ones
+    rng = random.Random(n)
+    for weights in (_cos_sq(n), [rng.uniform(0.1, 3.0) for _ in range(n + 1)]):
+        seen = 0
+        for product, parts, _ in _partition_profiles(n, weights):
+            expected = 1.0
+            for g in parts:
+                expected *= weights[g]
+            assert product == expected, parts
+            seen += 1
+        assert seen == count_partitions(n)
 
 
 def test_asymptotic_constant():

@@ -1,10 +1,18 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from sympy import cyclotomic_poly, isprime, symbols, totient
 
-from zenochain import spectrum
-from zenochain.partitions import CapacityError, Partition, count_partitions, state_count
+from zenochain import _exact, spectrum
+from zenochain.partitions import (
+    CapacityError,
+    Partition,
+    count_partitions,
+    enumerate_partitions,
+    state_count,
+)
 from zenochain.spectrum import (
     BRUTE_FORCE_CAP,
     CLASSICAL_CAP,
@@ -82,6 +90,247 @@ def test_first_exact_collision_at_15():
         Partition((8, 4, 2, 1))
     )
     assert merged.count == 72
+
+
+# Every exact merge at these sizes, as (kept label, absorbed partition).
+PINNED_MERGES = {
+    15: [("7+6+1+1", "8+4+2+1")],
+    30: [
+        ("13+8+1+1+1+1+1+1+1+1+1", "14+5+3+1+1+1+1+1+1+1+1"),
+        ("13+8+2+1+1+1+1+1+1+1", "14+5+3+2+1+1+1+1+1+1"),
+        ("13+8+2+2+1+1+1+1+1", "14+5+3+2+2+1+1+1+1"),
+        ("13+8+2+2+2+1+1+1", "14+5+3+2+2+2+1+1"),
+        ("13+8+3+1+1+1+1+1+1", "14+5+3+3+1+1+1+1+1"),
+        ("13+8+2+2+2+2+1", "14+5+3+2+2+2+2"),
+        ("13+8+3+2+1+1+1+1", "14+5+3+3+2+1+1+1"),
+        ("13+8+3+2+2+1+1", "14+5+3+3+2+2+1"),
+        ("13+8+3+3+1+1+1", "14+5+3+3+3+1+1"),
+        ("13+8+4+1+1+1+1+1", "14+5+4+3+1+1+1+1"),
+        ("13+8+3+3+2+1", "14+5+3+3+3+2"),
+        ("13+8+4+2+1+1+1", "14+5+4+3+2+1+1"),
+        ("13+8+4+2+2+1", "14+5+4+3+2+2"),
+        ("13+8+4+3+1+1", "14+5+4+3+3+1"),
+        ("13+8+5+1+1+1+1", "14+5+5+3+1+1+1"),
+        ("13+8+5+2+1+1", "14+5+5+3+2+1"),
+        ("13+8+4+4+1", "14+5+4+4+3"),
+        ("13+8+5+3+1", "14+5+5+3+3"),
+        ("13+8+6+1+1+1", "14+6+5+3+1+1"),
+        ("13+8+6+2+1", "14+6+5+3+2"),
+        ("12+11+3+1+1+1+1", "14+7+5+1+1+1+1"),
+        ("12+11+3+2+1+1", "14+7+5+2+1+1"),
+        ("12+11+3+2+2", "14+7+5+2+2"),
+        ("12+11+3+3+1", "14+7+5+3+1"),
+        ("12+11+3+3+1", "13+8+7+1+1"),
+        ("12+11+4+3", "14+7+5+4"),
+        ("13+8+8+1", "14+8+5+3"),
+        ("13+12+2+1+1+1", "16+5+4+3+1+1"),
+        ("13+12+2+2+1", "16+5+4+3+2"),
+        ("14+12+2+1+1", "16+8+4+1+1"),
+        ("14+12+2+2", "16+8+4+2"),
+    ],
+    42: [
+        ("15+13+8+3+1+1+1", "17+10+7+5+1+1+1"),
+        ("15+13+8+3+2+1", "17+10+7+5+2+1"),
+        ("15+13+8+3+3", "17+10+7+5+3"),
+        ("18+11+9+2+1+1", "20+7+6+5+3+1"),
+        ("25+12+1+1+1+1+1", "26+7+5+1+1+1+1"),
+        ("25+12+2+1+1+1", "26+7+5+2+1+1"),
+        ("25+12+2+2+1", "26+7+5+2+2"),
+        ("25+12+3+1+1", "26+7+5+3+1"),
+        ("25+12+4+1", "26+7+5+4"),
+    ],
+    45: [
+        ("21+18+3+1+1+1", "24+12+6+1+1+1"),
+        ("21+18+3+2+1", "24+12+6+2+1"),
+        ("21+18+3+3", "24+12+6+3"),
+    ],
+}
+
+# Distinct classes that a relative float tolerance of 1e-12 used to merge.
+NEAR_MISSES = {
+    62: ("13+11+10+10+6+3+3+3+3", "18+9+7+5+5+5+4+2+1+1+1+1+1+1+1"),
+    63: ("21+10+10+8+3+3+2+2+2+2", "22+11+6+6+4+4+4+2+2+1+1"),
+}
+
+
+def _parts(text):
+    return tuple(int(g) for g in text.split("+"))
+
+
+def _mp_intensity(n, parts, digits):
+    with mpmath.workdps(digits):
+        value = mpmath.mpf(1)
+        for g in parts:
+            value *= mpmath.cos(g * mpmath.pi / (2 * n)) ** 2
+        return value
+
+
+def _float_intensity(n, parts):
+    # the fast path's float: the same factors, multiplied in the same order
+    value = 1.0
+    for g in parts:
+        c = math.cos(g * math.pi / (2.0 * n))
+        value *= c * c
+    return value
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_MERGES))
+def test_merges_pinned(n):
+    report = quantum_spectrum(n)
+    got = [(str(kept), str(absorbed)) for kept, absorbed in report.merges]
+    assert got == PINNED_MERGES[n]
+    assert len(report.classes) + len(report.merges) == count_partitions(n)
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_MERGES))
+def test_pinned_merges_equal_to_50_digits(n):
+    # mpmath shares nothing with the exact key: an independent oracle
+    for kept, absorbed in PINNED_MERGES[n]:
+        a = _mp_intensity(n, _parts(kept), 60)
+        b = _mp_intensity(n, _parts(absorbed), 60)
+        with mpmath.workdps(60):
+            assert abs(a - b) <= mpmath.mpf(10) ** -50 * a, (kept, absorbed)
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_MERGES))
+def test_pinned_merges_confirmed_modulo_cyclotomic(n):
+    phi = _exact.cyclotomic(2 * n)
+    for kept, absorbed in PINNED_MERGES[n]:
+        assert _exact.exact_key(n, _parts(kept), phi) == _exact.exact_key(
+            n, _parts(absorbed), phi
+        )
+
+
+def test_pinned_merge_float_gaps_far_inside_window():
+    worst = 0.0
+    for n, pairs in PINNED_MERGES.items():
+        for kept, absorbed in pairs:
+            a = _float_intensity(n, _parts(kept))
+            b = _float_intensity(n, _parts(absorbed))
+            worst = max(worst, abs(a - b) / max(a, b))
+    assert worst <= 1e-13
+    assert 1000 * 1e-13 <= spectrum._MERGE_WINDOW
+
+
+@pytest.mark.parametrize("n", sorted(NEAR_MISSES))
+def test_near_misses_differ_to_60_digits(n):
+    kept, absorbed = NEAR_MISSES[n]
+    a = _mp_intensity(n, _parts(kept), 70)
+    b = _mp_intensity(n, _parts(absorbed), 70)
+    with mpmath.workdps(70):
+        assert abs(a - b) >= mpmath.mpf(10) ** -60 * a
+        assert abs(a - b) >= mpmath.mpf("4e-13") * a
+
+
+@pytest.mark.parametrize("n", sorted(NEAR_MISSES))
+def test_exact_key_separates_near_misses(n):
+    kept, absorbed = (_parts(text) for text in NEAR_MISSES[n])
+    a, b = _float_intensity(n, kept), _float_intensity(n, absorbed)
+    assert abs(a - b) <= 1e-12 * max(a, b)  # what the float tolerance joined
+    field = _exact.fingerprint_field(n)
+    _, _, phi = field
+    assert _exact.exact_key(n, kept, phi) != _exact.exact_key(n, absorbed, phi)
+    rows = sorted([(a, kept, 1), (b, absorbed, 1)], reverse=True)
+    groups = _exact.exact_groups(n, rows, field)
+    assert [[row[1] for row in group] for group in groups] == [[rows[0][1]], [rows[1][1]]]
+
+
+@pytest.mark.parametrize("n", sorted(NEAR_MISSES))
+def test_no_false_merges_at_62_and_63(n):
+    report = quantum_spectrum(n)
+    assert report.merges == ()
+    assert len(report.classes) == count_partitions(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 15, 18, 20])
+def test_exact_key_groups_like_mpmath(n):
+    # group every partition of n by the exact key and by 50-digit values:
+    # the two groupings must be the same sets
+    phi = _exact.cyclotomic(2 * n)
+    by_key, by_value = {}, {}
+    with mpmath.workdps(60):
+        cos_sq = [mpmath.cos(g * mpmath.pi / (2 * n)) ** 2 for g in range(n + 1)]
+        for p in enumerate_partitions(n):
+            by_key.setdefault(_exact.exact_key(n, p.parts, phi), set()).add(p.parts)
+            value = mpmath.fprod(cos_sq[g] for g in p.parts)
+            by_value.setdefault(mpmath.nstr(value, 50), set()).add(p.parts)
+    groups_by_key = sorted(sorted(group) for group in by_key.values())
+    groups_by_value = sorted(sorted(group) for group in by_value.values())
+    assert groups_by_key == groups_by_value
+    assert (len(groups_by_key) < count_partitions(n)) == (n == 15)
+
+
+def test_cyclotomic_against_sympy():
+    x = symbols("x")
+    for m in range(1, 129):
+        expected = [int(c) for c in reversed(cyclotomic_poly(m, x, polys=True).all_coeffs())]
+        assert _exact.cyclotomic(m) == expected, m
+        assert len(expected) - 1 == totient(m)
+
+
+def test_is_prime_against_sympy():
+    for p in range(-3, 3000):
+        assert _exact.is_prime(p) == isprime(p), p
+    big = (1 << 61) - 1  # a Mersenne prime
+    for p in (big, big + 2, 3215031751, 341550071728321, (1 << 89) - 1, (1 << 89) + 1):
+        assert _exact.is_prime(p) == isprime(p), p
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 30, 60, 62, 63, 64])
+def test_fingerprint_field_is_a_cyclotomic_image(n):
+    p, factor, phi = _exact.fingerprint_field(n)
+    assert p > 1 << 61 and p % (2 * n) == 1 and isprime(p)
+    assert phi == _exact.cyclotomic(2 * n)
+    # factor[g] = (2 + t_g) / 4 with t_g = w^g + w^-g. The t_g obey
+    # t_(g+1) = t_1 t_g - t_(g-1) from t_0 = 2; t_g != 2 for 1 <= g <= n means
+    # w^g != 1 there, and t_n = -2 means w^n = -1: w has exact order 2n
+    t = [(4 * f - 2) % p for f in factor]
+    assert t[0] == 2
+    for g in range(1, n):
+        assert t[g + 1] == (t[1] * t[g] - t[g - 1]) % p
+    assert all(t[g] != 2 for g in range(1, n + 1))
+    assert t[n] == p - 2
+
+
+def test_partition_report_checks_rows_before_building(monkeypatch):
+    n = 4
+    good = [(1.0, (1, 1, 1, 1), 2), (0.25, (2, 2), 2), (0.5, (2, 1, 1), 6),
+            (0.1, (3, 1), 4), (0.0, (4,), 2)]
+
+    def forbidden(*args):
+        raise AssertionError("an object was built before the rows were checked")
+
+    monkeypatch.setattr(spectrum, "_trusted", forbidden)
+    monkeypatch.setattr(Partition, "_trusted", classmethod(forbidden))
+    for bad, message in (
+        ((0.3, (3, 1), 0), "count must lie in 1..16, got 0"),
+        ((-0.3, (3, 1), 4), "intensity must be nonnegative, got -0.3"),
+        ((math.nan, (3, 1), 4), "intensity must be nonnegative, got nan"),
+    ):
+        rows = good[:3] + [bad] + good[4:]
+        before = list(rows)
+        with pytest.raises(ValueError, match=message):
+            spectrum._partition_report(n, rows)
+        assert rows == before  # not sorted either
+
+
+@pytest.mark.parametrize("report", [quantum_spectrum(15), classical_spectrum(6, 0.5)],
+                         ids=["quantum", "classical"])
+def test_trusted_classes_are_ordinary_instances(report):
+    # classes are built without __init__; they must not be told apart from
+    # ones that went through it
+    for cls in report.classes:
+        label = cls.label
+        if isinstance(label, Partition):
+            rebuilt_label = Partition(label.parts)
+            assert type(label) is Partition and label == rebuilt_label
+            assert repr(label) == repr(rebuilt_label) and label.n == report.n
+            label = rebuilt_label
+        rebuilt = IntensityClass(label, cls.intensity, cls.count, cls.total)
+        assert type(cls) is IntensityClass
+        assert cls == rebuilt and hash(cls) == hash(rebuilt)
+        assert repr(cls) == repr(rebuilt)
+    assert type(report.classes) is tuple
 
 
 def test_unmerged_class_counts_match_state_count():
