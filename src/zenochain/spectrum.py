@@ -13,12 +13,23 @@ exact arithmetic in the cyclotomic integers (module ``_exact``), never by a
 float tolerance. Equal intensities are merged into one class and every merge
 is reported, so downstream consumers never see two classes an instrument
 could not tell apart, and never lose two it could.
+
+While ``quantum_spectrum`` or ``classical_spectrum`` builds a class list, the
+cyclic garbage collector is paused: the builds make no reference cycles, so
+collecting during them frees nothing, yet its passes would walk the build's
+objects over and over, and every object the process holds now and then. The
+pause is process-wide (``gc`` has no per-thread switch). A concurrent build
+in another thread may turn the collector back on before this one ends; that
+costs speed only and never changes a result. A caller that has disabled the
+collector itself keeps it disabled.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
@@ -85,6 +96,19 @@ _MERGE_WINDOW = 1e-10
 # is duplicated work, results are identical.
 _QUANTUM_CACHE_MAX_N = 32
 _quantum_cache: dict[int, "SpectrumReport"] = {}
+
+
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the ``with`` block, then
+    enable it again only if it was enabled before (see the module notes)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _trusted(cls: type, size: int, **columns: Iterable) -> tuple:
@@ -284,7 +308,8 @@ def quantum_spectrum(n: int) -> SpectrumReport:
         cos_sq[g] = c * c
     # cos_sq[n] stays exactly 0.0: that gap delivers the beam fully vertical.
 
-    report = _partition_report(n, list(_partition_profiles(n, cos_sq)))
+    with _collector_paused():
+        report = _partition_report(n, list(_partition_profiles(n, cos_sq)))
     if n <= _QUANTUM_CACHE_MAX_N:
         _quantum_cache[n] = report
     return report
@@ -342,10 +367,11 @@ def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:
     for k in range(n):
         binomials.append(binomials[-1] * (n - k) // (k + 1))
     # alpha in (0, 1) and every C(n, k) >= 1: valid by construction
-    classes = _trusted(
-        IntensityClass, n + 1, label=range(n + 1),
-        intensity=(alpha ** k for k in range(n + 1)), count=binomials, total=repeat(total),
-    )
+    with _collector_paused():
+        classes = _trusted(
+            IntensityClass, n + 1, label=range(n + 1),
+            intensity=(alpha ** k for k in range(n + 1)), count=binomials, total=repeat(total),
+        )
     return SpectrumReport(
         n=n,
         kind="classical",

@@ -121,10 +121,10 @@ def test_criterion_06_classical_entropy_bound():
                       f"H(100)={at_100:.4f} < log2(101)-0.5={math.log2(101) - 0.5:.4f}")
 
 
-def test_criterion_07_quantum_entropy_bound():
+def test_criterion_07_quantum_entropy_bound(quantum_summary):
     entropy_violations = []
     for n in range(1, 65):
-        if quantum_spectrum(n).entropy_bits > math.log2(count_partitions(n)) + 1e-9:
+        if quantum_summary(n).entropy_bits > math.log2(count_partitions(n)) + 1e-9:
             entropy_violations.append(n)
     count_violations = [
         n for n in range(1, 201)

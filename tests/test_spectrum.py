@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -182,6 +183,14 @@ def test_merges_pinned(n):
     assert len(report.classes) + len(report.merges) == count_partitions(n)
 
 
+def test_merge_and_class_counts_pinned_to_64(quantum_summary):
+    merge_counts = {15: 1, 30: 31, 42: 9, 45: 3, 60: 274}
+    for n in range(1, 65):
+        summary = quantum_summary(n)
+        assert summary.merges == merge_counts.get(n, 0), n
+        assert summary.classes + summary.merges == count_partitions(n), n
+
+
 @pytest.mark.parametrize("n", sorted(PINNED_MERGES))
 def test_pinned_merges_equal_to_50_digits(n):
     # mpmath shares nothing with the exact key: an independent oracle
@@ -236,10 +245,10 @@ def test_exact_key_separates_near_misses(n):
 
 
 @pytest.mark.parametrize("n", sorted(NEAR_MISSES))
-def test_no_false_merges_at_62_and_63(n):
-    report = quantum_spectrum(n)
-    assert report.merges == ()
-    assert len(report.classes) == count_partitions(n)
+def test_no_false_merges_at_62_and_63(n, quantum_summary):
+    summary = quantum_summary(n)
+    assert summary.merges == 0
+    assert summary.classes == count_partitions(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 12, 15, 18, 20])
@@ -331,6 +340,72 @@ def test_trusted_classes_are_ordinary_instances(report):
         assert cls == rebuilt and hash(cls) == hash(rebuilt)
         assert repr(cls) == repr(rebuilt)
     assert type(report.classes) is tuple
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector disabled for the test, as a caller might have it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# One build per builder; the quantum cache is emptied so that n = 15 builds.
+BUILDS = {
+    "quantum": lambda: quantum_spectrum(15),
+    "classical": lambda: classical_spectrum(100, 0.5),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+def test_collector_paused_during_build_and_restored(build, monkeypatch):
+    monkeypatch.setattr(spectrum, "_quantum_cache", {})
+    seen = []
+    trusted = spectrum._trusted
+
+    def recording(*args, **columns):
+        seen.append(gc.isenabled())
+        return trusted(*args, **columns)
+
+    monkeypatch.setattr(spectrum, "_trusted", recording)
+    assert gc.isenabled()
+    build()
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+def test_collector_left_off_when_caller_disabled_it(build, monkeypatch, collector_off):
+    monkeypatch.setattr(spectrum, "_quantum_cache", {})
+    build()
+    assert not gc.isenabled()
+
+
+def test_collector_restored_when_build_raises(monkeypatch):
+    def nan_walk(n, cos_sq):
+        yield (math.nan, (n,), 1)
+
+    monkeypatch.setattr(spectrum, "_partition_profiles", nan_walk)
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="intensity must be nonnegative, got nan"):
+        quantum_spectrum(40)
+    assert gc.isenabled()
+
+
+def test_builds_make_no_reference_cycles(monkeypatch, collector_off):
+    # the premise of the pause: collecting during a build could free nothing
+    monkeypatch.setattr(spectrum, "_quantum_cache", {})
+    for build in (lambda: quantum_spectrum(15), lambda: quantum_spectrum(38),
+                  lambda: classical_spectrum(10_000, 0.5)):
+        gc.collect()
+        report = build()
+        assert gc.collect() == 0
+        del report
+        assert gc.collect() == 0
 
 
 def test_unmerged_class_counts_match_state_count():
