@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -53,7 +54,12 @@ class Partition:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        parts = tuple(self.parts)
+        # operator.index takes integers only (1.5, 2.0 and "2" raise) and
+        # turns a bool into 0 or 1, as ApparatusConfig does with its bits.
+        try:
+            parts = tuple(map(operator.index, self.parts))
+        except TypeError:
+            raise ValueError(f"parts must be integers, got {self.parts!r}") from None
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("a partition needs at least one part")

@@ -250,14 +250,14 @@ def _partition_report(
         # without near-equal neighbours never load the exact arithmetic.
         from . import _exact
 
-        field = _exact.fingerprint_field(n)
+        phi = _exact.cyclotomic(2 * n)
         spliced = []
         remaining = iter(rows)
         done = 0
         for first, end in runs:
             spliced.extend(islice(remaining, first - done))
             run = list(islice(remaining, end - first))
-            for members in _exact.exact_groups(n, run, field):
+            for members in _exact.exact_groups(n, run, phi):
                 label = min(m[1] for m in members)
                 members.sort(key=lambda m: (-m[0], m[1]))
                 kept = Partition._trusted(label, n)

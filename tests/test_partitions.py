@@ -116,6 +116,9 @@ def test_partition_validation():
         Partition((3, 0))
     with pytest.raises(ValueError):
         Partition((2, -1))
+    for parts in ((1.5,), (2.0, 1.0), ("2", "1")):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            Partition(parts)
 
 
 def test_partition_basics():
@@ -126,6 +129,10 @@ def test_partition_basics():
     assert list(p) == [3, 1, 1]
     assert p == Partition((3, 1, 1))
     assert p != Partition((3, 2))
+    ones = Partition((True, True))
+    assert ones.parts == (1, 1) and type(ones.parts[0]) is int
+    assert ones.n == 2 and type(ones.n) is int
+    assert str(ones) == "1+1"
 
 
 def test_partition_normalizes_list_input():

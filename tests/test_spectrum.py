@@ -1,15 +1,20 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
-from sympy import cyclotomic_poly, isprime, symbols, totient
+from sympy import cyclotomic_poly, symbols, totient
 
 from zenochain import _exact, spectrum
 from zenochain.partitions import (
     CapacityError,
     Partition,
+    _partition_profiles,
     count_partitions,
     enumerate_partitions,
     state_count,
@@ -236,11 +241,10 @@ def test_exact_key_separates_near_misses(n):
     kept, absorbed = (_parts(text) for text in NEAR_MISSES[n])
     a, b = _float_intensity(n, kept), _float_intensity(n, absorbed)
     assert abs(a - b) <= 1e-12 * max(a, b)  # what the float tolerance joined
-    field = _exact.fingerprint_field(n)
-    _, _, phi = field
+    phi = _exact.cyclotomic(2 * n)
     assert _exact.exact_key(n, kept, phi) != _exact.exact_key(n, absorbed, phi)
     rows = sorted([(a, kept, 1), (b, absorbed, 1)], reverse=True)
-    groups = _exact.exact_groups(n, rows, field)
+    groups = _exact.exact_groups(n, rows, phi)
     assert [[row[1] for row in group] for group in groups] == [[rows[0][1]], [rows[1][1]]]
 
 
@@ -269,6 +273,51 @@ def test_exact_key_groups_like_mpmath(n):
     assert (len(groups_by_key) < count_partitions(n)) == (n == 15)
 
 
+def _candidate_runs(n):
+    # the sorted rows of quantum_spectrum(n), cut into maximal runs of
+    # neighbours within the merge window as _partition_report cuts them
+    cos_sq = [0.0] * (n + 1)
+    for g in range(1, n):
+        c = math.cos(g * math.pi / (2.0 * n))
+        cos_sq[g] = c * c
+    rows = sorted(_partition_profiles(n, cos_sq), reverse=True)
+    runs = []
+    for above, row in zip(rows, rows[1:]):
+        if above[0] - row[0] <= spectrum._MERGE_WINDOW * above[0]:
+            if runs and runs[-1][-1] is above:
+                runs[-1].append(row)
+            else:
+                runs.append([above, row])
+    return runs
+
+
+@pytest.mark.parametrize("n,runs,merges", [(30, 30, 31), (42, 9, 9), (45, 3, 3), (53, 8, 0)])
+def test_exact_groups_of_candidate_runs_like_mpmath(n, runs, merges):
+    # mpmath shares nothing with the exact key: rows whose 60-digit values
+    # agree to 50 digits form one group, groups and members in run order
+    candidate_runs = _candidate_runs(n)
+    assert len(candidate_runs) == runs
+    phi = _exact.cyclotomic(2 * n)
+    joined = 0
+    for run in candidate_runs:
+        by_value = []
+        with mpmath.workdps(60):
+            for _, parts, _ in run:
+                value = _mp_intensity(n, parts, 60)
+                for group in by_value:
+                    if abs(group[0][0] - value) <= mpmath.mpf(10) ** -50 * value:
+                        group.append((value, parts))
+                        break
+                else:
+                    by_value.append([(value, parts)])
+        groups = _exact.exact_groups(n, run, phi)
+        assert [[row[1] for row in group] for group in groups] == [
+            [parts for _, parts in group] for group in by_value
+        ]
+        joined += len(run) - len(groups)
+    assert joined == merges
+
+
 def test_cyclotomic_against_sympy():
     x = symbols("x")
     for m in range(1, 129):
@@ -277,28 +326,23 @@ def test_cyclotomic_against_sympy():
         assert len(expected) - 1 == totient(m)
 
 
-def test_is_prime_against_sympy():
-    for p in range(-3, 3000):
-        assert _exact.is_prime(p) == isprime(p), p
-    big = (1 << 61) - 1  # a Mersenne prime
-    for p in (big, big + 2, 3215031751, 341550071728321, (1 << 89) - 1, (1 << 89) + 1):
-        assert _exact.is_prime(p) == isprime(p), p
-
-
-@pytest.mark.parametrize("n", [1, 2, 15, 30, 60, 62, 63, 64])
-def test_fingerprint_field_is_a_cyclotomic_image(n):
-    p, factor, phi = _exact.fingerprint_field(n)
-    assert p > 1 << 61 and p % (2 * n) == 1 and isprime(p)
-    assert phi == _exact.cyclotomic(2 * n)
-    # factor[g] = (2 + t_g) / 4 with t_g = w^g + w^-g. The t_g obey
-    # t_(g+1) = t_1 t_g - t_(g-1) from t_0 = 2; t_g != 2 for 1 <= g <= n means
-    # w^g != 1 there, and t_n = -2 means w^n = -1: w has exact order 2n
-    t = [(4 * f - 2) % p for f in factor]
-    assert t[0] == 2
-    for g in range(1, n):
-        assert t[g + 1] == (t[1] * t[g] - t[g - 1]) % p
-    assert all(t[g] != 2 for g in range(1, n + 1))
-    assert t[n] == p - 2
+def test_exact_arithmetic_loaded_only_for_candidate_runs():
+    # a fresh interpreter: this process has long imported zenochain._exact.
+    # n = 38 has no near-equal neighbours, n = 15 has one candidate run.
+    code = (
+        "import sys\n"
+        "from zenochain.spectrum import quantum_spectrum\n"
+        "quantum_spectrum(38)\n"
+        "print('zenochain._exact' in sys.modules)\n"
+        "quantum_spectrum(15)\n"
+        "print('zenochain._exact' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_partition_report_checks_rows_before_building(monkeypatch):
