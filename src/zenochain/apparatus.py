@@ -12,6 +12,8 @@ step-by-step amplitude simulation.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -22,6 +24,9 @@ __all__ = [
     "simulate_intensity",
     "zeno_survival",
 ]
+
+# Maps the digits of a binary string to the bit values, byte for byte.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,10 +54,22 @@ class ApparatusConfig:
 
     @classmethod
     def from_index(cls, n: int, index: int) -> "ApparatusConfig":
-        """Configuration whose slot i holds a polarizer iff bit i-1 of ``index`` is set."""
+        """Configuration whose slot i holds a polarizer iff bit i-1 of ``index`` is set.
+
+        Only ``n`` and ``index`` are checked; the bits, generated here as ints
+        0 and 1 at C level, are stored without ``__post_init__``.
+        """
+        n = operator.index(n)
+        index = operator.index(index)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         if not 0 <= index < (1 << n):
             raise ValueError(f"index must lie in [0, 2^{n}), got {index}")
-        return cls(n, tuple((index >> i) & 1 for i in range(n)))
+        present = tuple(f"{index:0{n}b}"[::-1].encode().translate(_BITS))
+        config = object.__new__(cls)
+        object.__setattr__(config, "n", n)
+        object.__setattr__(config, "present", present)
+        return config
 
     @property
     def installed(self) -> int:
@@ -75,8 +92,8 @@ def gaps(config: ApparatusConfig) -> tuple[int, ...]:
     """
     parts = []
     last = 0
-    for slot in range(1, config.n + 1):
-        if config.present[slot - 1]:
+    for slot, installed in enumerate(config.present, 1):
+        if installed:
             parts.append(slot - last)
             last = slot
     if last < config.n:
@@ -143,6 +160,8 @@ def zeno_survival(n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > sys.float_info.max:  # 2.0 * n below could not convert n
+        raise ValueError(f"n must be <= {sys.float_info.max:.6g}, the largest float")
     if n == 1:
         return 0.0
     c = math.cos(math.pi / (2.0 * n))

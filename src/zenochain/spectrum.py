@@ -333,19 +333,19 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > BRUTE_FORCE_CAP:
         raise CapacityError(f"brute_force_spectrum supports n <= {BRUTE_FORCE_CAP}, got {n}")
-    brightest: dict[tuple[int, ...], float] = {}
-    counts: dict[tuple[int, ...], int] = {}
+    tally: dict[tuple[int, ...], list] = {}  # parts -> [brightest, count]
     for index in range(1 << n):
         config = ApparatusConfig.from_index(n, index)
         parts = tuple(sorted(gaps(config), reverse=True))
         intensity = simulate_intensity(config)
-        kept = brightest.get(parts, 0.0)
-        if intensity > kept or math.isnan(intensity):  # a NaN, once seen, stays
-            kept = intensity
-        brightest[parts] = kept
-        counts[parts] = counts.get(parts, 0) + 1
+        entry = tally.get(parts)
+        if entry is None:
+            entry = tally[parts] = [0.0, 0]
+        if intensity > entry[0] or math.isnan(intensity):  # a NaN, once seen, stays
+            entry[0] = intensity
+        entry[1] += 1
 
-    return _partition_report(n, [(brightest[p], p, c) for p, c in counts.items()])
+    return _partition_report(n, [(brightest, p, c) for p, (brightest, c) in tally.items()])
 
 
 def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:

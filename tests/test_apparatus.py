@@ -36,6 +36,36 @@ def test_config_from_index_bit_order():
     assert ApparatusConfig.from_index(3, 4).present == (0, 0, 1)
 
 
+def test_config_from_index_equals_validated_constructor():
+    for n in range(1, 13):
+        for index in range(2 ** n):
+            built = ApparatusConfig.from_index(n, index)
+            bits = tuple((index >> i) & 1 for i in range(n))  # slot 1 is bit 0
+            validated = ApparatusConfig(n, bits)
+            assert built == validated
+            assert hash(built) == hash(validated)
+            assert repr(built) == repr(validated)
+            assert all(type(b) is int for b in built.present)
+            assert type(built.n) is int
+
+
+@pytest.mark.parametrize(
+    "n,index,error",
+    [
+        (0, 0, ValueError),
+        (-1, 0, ValueError),
+        (3, -1, ValueError),
+        (3, 8, ValueError),
+        (3, 1.5, TypeError),
+        (2.0, 1, TypeError),
+        ("3", 1, TypeError),
+    ],
+)
+def test_config_from_index_rejects(n, index, error):
+    with pytest.raises(error):
+        ApparatusConfig.from_index(n, index)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ApparatusConfig(0, ())
@@ -50,6 +80,8 @@ def test_config_validation():
     assert type(ApparatusConfig(2, (True, 1.0)).present[0]) is int
     with pytest.raises(ValueError):
         ApparatusConfig.from_index(3, 8)
+    # a bool n counts as its int and is stored as one
+    assert type(ApparatusConfig.from_index(True, 1).n) is int
     with pytest.raises(ValueError):
         ApparatusConfig.from_bits("0x1")
 
@@ -203,6 +235,9 @@ def test_zeno_survival_values():
 def test_zeno_survival_rejects_zero():
     with pytest.raises(ValueError):
         zeno_survival(0)
+    # too large to convert to a float: a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match="largest float"):
+        zeno_survival(10 ** 400)
 
 
 def test_zeno_survival_nondecreasing():

@@ -198,6 +198,12 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert "10000" in err
     assert main(["spectrum", "--n", "65"]) == 1
     capsys.readouterr()
+    assert main(["zeno", "--n", str(10 ** 400)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
     with pytest.raises(SystemExit) as excinfo:
         main(["spectrum", "--n", "3", "--kind", "sideways"])
     assert excinfo.value.code == 2
