@@ -37,6 +37,8 @@ class ApparatusConfig:
     present: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # n as in from_index: an integer, a bool stored as its int
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if len(self.present) != self.n:

@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -48,7 +48,6 @@ class OutputSpec:
     """Rendering choices shared by every data-emitting subcommand."""
 
     format: str = "table"
-    destination: Path | None = None  # None writes to stdout
     precision: int = 6
 
     def __post_init__(self) -> None:
@@ -201,18 +200,8 @@ def cmd_compare(n_min: int, n_max: int, out: OutputSpec) -> Iterator[str]:
         "quantum_bound_bits",
         "quantum_classical_ratio",
     )
-    rows = [
-        (
-            pt.n,
-            pt.classical_bits,
-            pt.quantum_bits,
-            pt.classical_bound_bits,
-            pt.quantum_bound_bits,
-            pt.quantum_classical_ratio,
-        )
-        for pt in points
-    ]
-    return _render(out, headers, rows)
+    # InformationPoint's fields are in the header order
+    return _render(out, headers, map(astuple, points))
 
 
 def cmd_zeno(ns: Sequence[int], out: OutputSpec) -> Iterator[str]:
@@ -398,7 +387,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             text, ok = cmd_verify()
             return _deliver((text,), None) or (0 if ok else 1)
-        out = OutputSpec(args.format, args.out, args.precision)
+        out = OutputSpec(args.format, args.precision)
         if args.command == "partitions":
             chunks = cmd_partitions(args.n_max, out)
         elif args.command == "spectrum":
@@ -410,7 +399,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # CapacityError included
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return _deliver(chunks, out.destination)
+    return _deliver(chunks, args.out)
 
 
 if __name__ == "__main__":

@@ -46,6 +46,19 @@ class CapacityError(ValueError):
     """An argument exceeded a documented operational cap."""
 
 
+def _checked_size(n: int, least: int, cap: int, name: str) -> int:
+    """The size rule of every partition and spectrum entry point ``name``:
+    ``n`` is an integer (``operator.index``: a bool counts as its int, while
+    2.0 and "2" raise TypeError), at least ``least`` and at most ``cap``.
+    Returns ``n`` as an int."""
+    n = operator.index(n)
+    if n < least:
+        raise ValueError(f"n must be >= {least}, got {n}")
+    if n > cap:
+        raise CapacityError(f"{name} supports n <= {cap}, got {n}")
+    return n
+
+
 @dataclass(frozen=True, slots=True)
 class Partition:
     """Multiset of positive integers summing to ``n``, stored non-increasing."""
@@ -98,10 +111,7 @@ def count_partitions(n: int) -> int:
     Euler's pentagonal-number recurrence over a shared memo table, so a
     sweep over 1..n costs no more than the single largest call.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > COUNT_CAP:
-        raise CapacityError(f"count_partitions supports n <= {COUNT_CAP}, got {n}")
+    n = _checked_size(n, 0, COUNT_CAP, "count_partitions")
     if n < len(_count_cache):
         return _count_cache[n]
     with _count_lock:
@@ -195,12 +205,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     The first partition is ``(n,)`` and the last is ``n`` ones; the total
     number of items equals ``count_partitions(n)``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > ENUMERATION_CAP:
-        raise CapacityError(
-            f"enumerate_partitions supports n <= {ENUMERATION_CAP}, got {n}"
-        )
+    n = _checked_size(n, 1, ENUMERATION_CAP, "enumerate_partitions")
     ones = [1.0] * (n + 1)
     return (Partition._trusted(parts, n) for _, parts, _ in _partition_profiles(n, ones))
 

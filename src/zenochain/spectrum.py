@@ -14,14 +14,15 @@ float tolerance. Equal intensities are merged into one class and every merge
 is reported, so downstream consumers never see two classes an instrument
 could not tell apart, and never lose two it could.
 
-While ``quantum_spectrum`` or ``classical_spectrum`` builds a class list, the
-cyclic garbage collector is paused: the builds make no reference cycles, so
-collecting during them frees nothing, yet its passes would walk the build's
-objects over and over, and every object the process holds now and then. The
-pause is process-wide (``gc`` has no per-thread switch). A concurrent build
-in another thread may turn the collector back on before this one ends; that
-costs speed only and never changes a result. A caller that has disabled the
-collector itself keeps it disabled.
+While ``quantum_spectrum`` builds a class list, the cyclic garbage collector
+is paused: the build makes no reference cycles, so collecting during it
+frees nothing, yet its passes would walk the build's objects over and over,
+and every object the process holds now and then. The pause is process-wide
+(``gc`` has no per-thread switch). A concurrent build in another thread may
+turn the collector back on before this one ends; that costs speed only and
+never changes a result. A caller that has disabled the collector itself
+keeps it disabled. ``classical_spectrum`` builds only n + 1 classes and
+does not pause it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import gc
 import math
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
@@ -42,6 +42,7 @@ from .partitions import (
     ENUMERATION_CAP,
     CapacityError,
     Partition,
+    _checked_size,
     _partition_profiles,
     asymptotic_log2_p,
 )
@@ -96,19 +97,6 @@ _MERGE_WINDOW = 1e-10
 # is duplicated work, results are identical.
 _QUANTUM_CACHE_MAX_N = 32
 _quantum_cache: dict[int, "SpectrumReport"] = {}
-
-
-@contextmanager
-def _collector_paused():
-    """Disable the cyclic garbage collector for the ``with`` block, then
-    enable it again only if it was enabled before (see the module notes)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _trusted(cls: type, size: int, **columns: Iterable) -> tuple:
@@ -294,10 +282,7 @@ def quantum_spectrum(n: int) -> SpectrumReport:
     exactly equal intensity are merged into one class, each merge proven by
     exact arithmetic (see the module notes on collisions).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > ENUMERATION_CAP:
-        raise CapacityError(f"quantum_spectrum supports n <= {ENUMERATION_CAP}, got {n}")
+    n = _checked_size(n, 1, ENUMERATION_CAP, "quantum_spectrum")
     cached = _quantum_cache.get(n)
     if cached is not None:
         return cached
@@ -308,8 +293,13 @@ def quantum_spectrum(n: int) -> SpectrumReport:
         cos_sq[g] = c * c
     # cos_sq[n] stays exactly 0.0: that gap delivers the beam fully vertical.
 
-    with _collector_paused():
+    enabled = gc.isenabled()  # see the module notes on the pause
+    gc.disable()
+    try:
         report = _partition_report(n, list(_partition_profiles(n, cos_sq)))
+    finally:
+        if enabled:
+            gc.enable()
     if n <= _QUANTUM_CACHE_MAX_N:
         _quantum_cache[n] = report
     return report
@@ -329,10 +319,7 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
     3e-15 of the fast path's here (measured to n = 16), far inside the merge
     window. Capped low because the sweep is exponential.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > BRUTE_FORCE_CAP:
-        raise CapacityError(f"brute_force_spectrum supports n <= {BRUTE_FORCE_CAP}, got {n}")
+    n = _checked_size(n, 1, BRUTE_FORCE_CAP, "brute_force_spectrum")
     tally: dict[tuple[int, ...], list] = {}  # parts -> [brightest, count]
     for index in range(1 << n):
         config = ApparatusConfig.from_index(n, index)
@@ -356,10 +343,7 @@ def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:
     intensity alpha^k: position information is invisible, so only n + 1
     classes exist and the entropy is capped by log2(n + 1).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > CLASSICAL_CAP:
-        raise CapacityError(f"classical_spectrum supports n <= {CLASSICAL_CAP}, got {n}")
+    n = _checked_size(n, 1, CLASSICAL_CAP, "classical_spectrum")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     total = 1 << n
@@ -367,11 +351,10 @@ def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:
     for k in range(n):
         binomials.append(binomials[-1] * (n - k) // (k + 1))
     # alpha in (0, 1) and every C(n, k) >= 1: valid by construction
-    with _collector_paused():
-        classes = _trusted(
-            IntensityClass, n + 1, label=range(n + 1),
-            intensity=(alpha ** k for k in range(n + 1)), count=binomials, total=repeat(total),
-        )
+    classes = _trusted(
+        IntensityClass, n + 1, label=range(n + 1),
+        intensity=(alpha ** k for k in range(n + 1)), count=binomials, total=repeat(total),
+    )
     return SpectrumReport(
         n=n,
         kind="classical",

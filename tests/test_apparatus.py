@@ -80,8 +80,12 @@ def test_config_validation():
     assert type(ApparatusConfig(2, (True, 1.0)).present[0]) is int
     with pytest.raises(ValueError):
         ApparatusConfig.from_index(3, 8)
-    # a bool n counts as its int and is stored as one
+    # a bool n counts as its int and is stored as one, by the constructor
+    # too; any other non-integer n raises, as in from_index
     assert type(ApparatusConfig.from_index(True, 1).n) is int
+    assert repr(ApparatusConfig(True, (1,))) == "ApparatusConfig(n=1, present=(1,))"
+    with pytest.raises(TypeError):
+        ApparatusConfig(2.0, (1, 0))
     with pytest.raises(ValueError):
         ApparatusConfig.from_bits("0x1")
 

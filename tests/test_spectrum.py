@@ -12,6 +12,8 @@ from sympy import cyclotomic_poly, symbols, totient
 
 from zenochain import _exact, spectrum
 from zenochain.partitions import (
+    COUNT_CAP,
+    ENUMERATION_CAP,
     CapacityError,
     Partition,
     _partition_profiles,
@@ -398,10 +400,10 @@ def collector_off():
             gc.enable()
 
 
-# One build per builder; the quantum cache is emptied so that n = 15 builds.
+# The builds that pause the collector; the quantum cache is emptied so that
+# n = 15 builds.
 BUILDS = {
     "quantum": lambda: quantum_spectrum(15),
-    "classical": lambda: classical_spectrum(100, 0.5),
 }
 
 
@@ -450,6 +452,53 @@ def test_builds_make_no_reference_cycles(monkeypatch, collector_off):
         assert gc.collect() == 0
         del report
         assert gc.collect() == 0
+
+
+# Every entry point that takes a chain size: (function, least n, cap).
+SIZED = {
+    "count_partitions": (count_partitions, 0, COUNT_CAP),
+    "enumerate_partitions": (enumerate_partitions, 1, ENUMERATION_CAP),
+    "quantum_spectrum": (quantum_spectrum, 1, ENUMERATION_CAP),
+    "brute_force_spectrum": (brute_force_spectrum, 1, BRUTE_FORCE_CAP),
+    "classical_spectrum": (classical_spectrum, 1, CLASSICAL_CAP),
+}
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_sizes_checked_alike_at_every_entry_point(name, monkeypatch):
+    fn, least, cap = SIZED[name]
+
+    def built(n):
+        # enumerate_partitions returns an iterator: compare what it yields
+        result = fn(n)
+        return repr(list(result) if fn is enumerate_partitions else result)
+
+    # A bool counts as its int, and a result built from True is the one
+    # built from 1 (n=1, never n=True), also when the cache keeps it.
+    monkeypatch.setattr(spectrum, "_quantum_cache", {})
+    from_true = built(True)
+    from_one_after_true = built(1)
+    monkeypatch.setattr(spectrum, "_quantum_cache", {})
+    assert from_true == from_one_after_true == built(1)
+
+    # Non-integers raise at the call, before and after n = 2 is built.
+    monkeypatch.setattr(spectrum, "_quantum_cache", {})
+    for _ in range(2):
+        for bad in (2.0, "2"):
+            with pytest.raises(TypeError):
+                fn(bad)
+        built(2)
+
+    # Out-of-range ints keep their exact messages.
+    for bad in (0, -1):
+        if bad < least:
+            with pytest.raises(ValueError) as below:
+                fn(bad)
+            assert type(below.value) is ValueError
+            assert str(below.value) == f"n must be >= {least}, got {bad}"
+    with pytest.raises(CapacityError) as above:
+        fn(cap + 1)
+    assert str(above.value) == f"{name} supports n <= {cap}, got {cap + 1}"
 
 
 def test_unmerged_class_counts_match_state_count():
