@@ -158,8 +158,10 @@ def zeno_survival(n: int) -> float:
     Frequent projection pins the polarization to the rotating frame, so the
     value climbs toward 1; it is bounded below by ``1 - pi^2 / (4n)`` for
     every n >= 2. Exactly 0.0 at n = 1, where the single rotation reaches
-    vertical before the only analyzer.
+    vertical before the only analyzer. ``n`` is an integer
+    (``operator.index``): 2.0 and "2" raise TypeError.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > sys.float_info.max:  # 2.0 * n below could not convert n

@@ -22,6 +22,7 @@ import sys
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -63,6 +64,14 @@ def _fmt(x: float, precision: int) -> str:
     return f"{x:.{precision}g}"
 
 
+# Rows become text _BLOCK at a time, one C-level map per column: a Python call
+# per cell costs more than the formatting. _SEP joins a table block's column
+# until the widths are known. _DIGITS spells the parts of n <= ENUMERATION_CAP.
+_BLOCK = 1024
+_SEP = "\x1f"
+_DIGITS = tuple(map(str, range(partitions.ENUMERATION_CAP + 1)))
+
+
 def _render(
     out: OutputSpec,
     headers: Sequence[str],
@@ -72,7 +81,7 @@ def _render(
     tail: Sequence[tuple[str, Sequence[str], Iterable[Sequence[object]]]] = (),
     footers: Sequence[str] = (),
 ) -> Iterator[str]:
-    """Yield typed rows rendered in ``out.format``, in chunks of a row or so.
+    """Yield typed rows rendered in ``out.format``, in chunks of up to ``_BLOCK`` rows.
 
     The one renderer of every subcommand. Ints and strings print as ``str``,
     floats at ``out.precision`` significant digits (a number rounded the same
@@ -82,67 +91,107 @@ def _render(
     ``(name, headers, rows)`` table of ``tail``. ``footers`` are lines
     appended to the table format only.
 
-    JSON is written row by row in the layout ``json.dumps(..., indent=2)``
-    gives the same document, with json's own spellings of strings, ints and
-    floats; the rows hold no other types. The table format holds every row's
-    cells to size its columns; CSV and JSON hold one row at a time.
+    JSON has the layout and spellings of ``json.dumps(..., indent=2)`` of the
+    same document. Rows are read once; a block's column of one type is
+    converted by one map, any other cell by cell. CSV and JSON hold one block;
+    the table holds each block's columns as joined text until it knows the widths.
     """
-    spec = f".{out.precision}g"  # the format _fmt applies, built once per render
+    spec = f".{out.precision}g"
+    fmt = ("{:" + spec + "}").format  # format(x, spec) for a float x
+    as_json = out.format == "json"
 
     def text(value: object) -> str:
-        return format(value, spec) if isinstance(value, float) else str(value)
+        return fmt(value) if isinstance(value, float) else str(value)
 
-    if out.format == "json":
-        def json_text(value: object) -> str:
-            if isinstance(value, float):
-                value = float(format(value, spec))
-                return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-            if isinstance(value, partitions.Partition):  # only ever a record field
-                return "[\n        " + ",\n        ".join(map(str, value.parts)) + "\n      ]"
-            if isinstance(value, str):
-                return encode_basestring_ascii(value)
-            return int.__repr__(value)
+    def json_text(value: object) -> str:
+        if isinstance(value, float):
+            value = float(fmt(value))
+            return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+        if isinstance(value, partitions.Partition):
+            return "[\n        " + ",\n        ".join(map(str, value.parts)) + "\n      ]"
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        return int.__repr__(value)
 
-        def records(names: Sequence[str], table: Iterable[Sequence[object]]) -> Iterator[str]:
-            fields = [f"\n      {encode_basestring_ascii(h)}: " for h in names]
-            first = True
-            for row in table:
-                yield ("[\n    {" if first else "\n    },\n    {") + ",".join(
-                    [f + json_text(v) for f, v in zip(fields, row)])
-                first = False
-            yield "[]" if first else "\n    }\n  ]"
+    by_kind = {float: fmt, int: int.__repr__, str: encode_basestring_ascii if as_json else str}
 
+    def convert(column: tuple[object, ...]) -> list[str]:
+        kinds = set(map(type, column))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is partitions.Partition:
+            parts = list(map(attrgetter("parts"), column))
+            digit = _DIGITS.__getitem__ if max(map(itemgetter(0), parts)) < len(_DIGITS) else str
+            labels = map((",\n        " if as_json else "+").join,
+                         map(map, itertools.repeat(digit), parts))
+            return list(map("[\n        {}\n      ]".format, labels) if as_json else labels)
+        if kind is float and as_json:
+            texts = list(map(fmt, column))
+            joined = "".join(texts)
+            # At most float_info.dig digits, one '.', no 'e+' and a normal float:
+            # then the text is already the repr of the float it reads as.
+            if (out.precision <= sys.float_info.dig and joined.count(".") == len(texts)
+                    and "e+" not in joined and min(map(abs, column)) > 1e-300):
+                return texts
+            rounded = list(map(float, texts))
+            finite = all(map(math.isfinite, rounded))
+            return list(map(float.__repr__ if finite else json.dumps, rounded))
+        return list(map(by_kind.get(kind, json_text if as_json else text), column))
+
+    def blocks(table: Iterable[Sequence[object]]) -> Iterator[list[list[str]]]:
+        table = iter(table)
+        while block := list(itertools.islice(table, _BLOCK)):
+            yield [convert(column) for column in zip(*block)]
+
+    if as_json:
         sep = "{\n  "
         for name, value in lead:
             yield f"{sep}{encode_basestring_ascii(name)}: {json_text(value)}"
             sep = ",\n  "
         for name, names, table in ((key, headers, rows), *tail):
             yield f"{sep}{encode_basestring_ascii(name)}: "
-            yield from records(names, table)
+            fields = (encode_basestring_ascii(h).replace("{", "{{").replace("}", "}}")
+                      for h in names)  # braces doubled for str.format
+            record = ",".join(f"\n      {f}: {{}}" for f in fields).format
+            sep = "[\n    {"
+            for columns in blocks(table):
+                yield sep + "\n    },\n    {".join(map(record, *columns))
+                sep = "\n    },\n    {"
+            yield "[]" if sep[0] == "[" else "\n    }\n  ]"
             sep = ",\n  "
         yield "\n}\n"
         return
-    cells = (tuple(map(text, row)) for row in rows)
     if out.format == "csv":
         for name, value in lead:
             yield f"# {name}={text(value)}\n"
-        pending: list[str] = []  # what the writer wrote for the row in hand
+        pending: list[str] = []  # what the writer wrote for the rows in hand
         writer = csv.writer(SimpleNamespace(write=pending.append), lineterminator="\n")
-        for row in itertools.chain([headers], cells):
-            writer.writerow(row)
+        writer.writerow(headers)
+        yield pending.pop()
+        for columns in blocks(rows):
+            body = "\n".join(map(",".join, zip(*columns))) + "\n"
+            # csv quotes a cell holding ',', '"', '\r' or '\n', or a lone empty one. The
+            # join wrote width - 1 commas and one newline per row; any more are a cell's.
+            if (len(columns) > 1 and '"' not in body and "\r" not in body
+                    and body.count(",") + body.count("\n") == len(columns) * len(columns[0])):
+                yield body
+                continue
+            writer.writerows(zip(*columns))
             yield "".join(pending)
             pending.clear()
         return
-    cells = list(cells)
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, cell in enumerate(row):
-            if len(cell) > widths[i]:
-                widths[i] = len(cell)
-    for row in itertools.chain([headers], cells):
-        yield "  ".join([c.rjust(w) for c, w in zip(row, widths)]).rstrip() + "\n"
-    for line in footers:
-        yield line + "\n"
+    widths = list(map(len, headers))
+    held = []
+    for columns in blocks(rows):
+        widths = [max(w, *map(len, column)) for w, column in zip(widths, columns)]
+        # Held joined only when the join's len(c) - 1 _SEP are all it holds: it splits back.
+        held.append([j if (j := _SEP.join(c)).count(_SEP) == len(c) - 1 else c for c in columns])
+    line = "  ".join(f"{{:>{w}}}" for w in widths).format  # c.rjust(w) for each cell c
+    yield line(*headers).rstrip() + "\n"
+    for packed in held:
+        columns = [c.split(_SEP) if isinstance(c, str) else c for c in packed]
+        yield "\n".join(map(str.rstrip, map(line, *columns))) + "\n"
+    for footer in footers:
+        yield footer + "\n"
 
 
 def cmd_partitions(n_max: int, out: OutputSpec) -> Iterator[str]:
@@ -165,8 +214,8 @@ def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> Iterator[s
 
     p = out.precision
     headers = ("label", "intensity", "count", "probability", "probability_float")
-    rows = (
-        (c.label, c.intensity, c.count, f"{c.count}/2^{report.n}", c.probability_float)
+    rows = (  # c.count / c.total is c.probability_float without the property call
+        (c.label, c.intensity, c.count, f"{c.count}/2^{report.n}", c.count / c.total)
         for c in report.classes
     )
     lead = [

@@ -229,7 +229,9 @@ def asymptotic_log2_p(n: int) -> float:
     Evaluates ``sqrt(n) * pi * sqrt(2/3) * log2(e)``, about ``3.7007 sqrt(n)``.
     An overestimate at finite n: the true ``log2 p(n)`` stays strictly below
     it for every n tested (the subexponential prefactor of p(n) is < 1).
+    ``n`` is an integer, as for every size (``operator.index``).
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return ASYMPTOTIC_BITS_PER_SQRT_N * math.sqrt(n)

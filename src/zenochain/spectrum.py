@@ -33,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable
 
 from .apparatus import ApparatusConfig, gaps, simulate_intensity
@@ -392,8 +392,10 @@ def information_series(n_min: int, n_max: int) -> tuple[InformationPoint, ...]:
     Columns: the classical and quantum entropies, their respective bounds
     log2(n + 1) and 3.7007 sqrt(n), and the quantum/classical ratio. The
     quantum side overtakes the classical side from n = 4 on; at n <= 3 the
-    partition spectrum is still too coarse to win.
+    partition spectrum is still too coarse to win. Both sizes are integers
+    (``operator.index``, as for every size): 2.0 and "2" raise TypeError.
     """
+    n_min, n_max = index(n_min), index(n_max)
     if n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {n_min}")
     if n_max < n_min:

@@ -244,6 +244,14 @@ def test_zeno_survival_rejects_zero():
         zeno_survival(10 ** 400)
 
 
+def test_zeno_survival_takes_integers_only():
+    # the size rule of every entry point: a bool counts as its int
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            zeno_survival(bad)
+    assert zeno_survival(True) == zeno_survival(1) == 0.0
+
+
 def test_zeno_survival_nondecreasing():
     values = [zeno_survival(n) for n in range(1, 501)]
     assert all(b >= a for a, b in zip(values, values[1:]))

@@ -5,11 +5,15 @@ import io
 import json
 import math
 import sys
+import tracemalloc
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
 from zenochain import apparatus, partitions, spectrum
 from zenochain.cli import (
+    _BLOCK,
+    _SEP,
     OutputSpec,
     _render,
     cmd_compare,
@@ -407,6 +411,124 @@ def test_render_json_spells_values_as_json_does():
         "empty": [],
     }
     assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def reference_render(out, headers, rows, key="rows", lead=(), tail=(), footers=()):
+    """The renderer's text, built one cell at a time with the rules of its docstring."""
+    spec = f".{out.precision}g"
+
+    def text(value):
+        return format(value, spec) if isinstance(value, float) else str(value)
+
+    def json_text(value):
+        if isinstance(value, float):
+            value = float(format(value, spec))
+            return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+        if isinstance(value, partitions.Partition):
+            return "[\n        " + ",\n        ".join(map(str, value.parts)) + "\n      ]"
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        return int.__repr__(value)
+
+    if out.format == "json":
+        def records(names, table):
+            fields = [f"\n      {encode_basestring_ascii(h)}: " for h in names]
+            items = [",".join(f + json_text(v) for f, v in zip(fields, row)) for row in table]
+            return "[\n    {" + "\n    },\n    {".join(items) + "\n    }\n  ]" if items else "[]"
+
+        members = [f"{encode_basestring_ascii(k)}: {json_text(v)}" for k, v in lead] + [
+            f"{encode_basestring_ascii(k)}: {records(names, table)}"
+            for k, names, table in ((key, headers, rows), *tail)
+        ]
+        return "{\n  " + ",\n  ".join(members) + "\n}\n"
+    cells = [tuple(map(text, row)) for row in rows]
+    if out.format == "csv":
+        buffer = io.StringIO()
+        buffer.writelines(f"# {k}={text(v)}\n" for k, v in lead)
+        csv.writer(buffer, lineterminator="\n").writerows([headers, *cells])
+        return buffer.getvalue()
+    widths = [max(map(len, column)) for column in zip(headers, *cells)]
+    lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in [headers, *cells]]
+    return "".join(line.rstrip() + "\n" for line in lines) + "".join(f + "\n" for f in footers)
+
+
+# Cell values the subcommands emit and some they never do. Each column of a
+# block runs one converter, or the per-cell one when its cells differ in type.
+# The strings that csv must quote, or that hold the table's separator, come
+# in odd blocks only, so that even blocks take the paths that need neither.
+ODD_FLOATS = (0.1, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1 / 3, 1e300)
+ODD_STRINGS = ("a,b", 'say "x"', "two\nlines", f"pa{_SEP}cked", "\u00e9", "", " pad ", "cr\r")
+BIG = partitions.Partition((65, 1))  # a part past the renderer's digit table
+
+
+def odd_rows(count):
+    labels = [partitions.Partition._trusted(p, sum(p)) for p in ((3,), (2, 1), (64, 64), (1,) * 9)]
+    for i in range(count):
+        yield (
+            labels[i % 4],
+            BIG if i % 700 == 699 else labels[i % 3],
+            ODD_FLOATS[i % 9],
+            2.0 ** -i + i,
+            i * 7919 - 5 * (i % 3) * 10 ** 30,
+            i % 5 == 0,
+            "flag *" if i % 11 == 0 else i / 7,
+            ODD_STRINGS[i % 8] if i // _BLOCK % 2 else f"s{i % 8}",
+        )
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK])
+@pytest.mark.parametrize("precision", [1, 6, 17])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_render_matches_per_cell_reference(fmt, precision, count):
+    out = OutputSpec(format=fmt, precision=precision)
+    headers = ("label", "big{0}", "odd", "float", "int", "bool", "mixed", "text")
+    args = dict(
+        key="rows",
+        lead=[("n", 5), ("x", math.nan), ("s", "a,b")],
+        tail=[("empty", ("a",), []), ("more", ("s", "v"), [("q", 1.5), ("r", math.inf)])],
+        footers=["end = 1"],
+    )
+    text = "".join(_render(out, headers, odd_rows(count), **args))
+    assert text == reference_render(out, headers, odd_rows(count), **args)
+
+
+@pytest.mark.parametrize("cell", [",", '"', "\r", "\n", ""])
+@pytest.mark.parametrize("headers", [("h",), ("h", "i")])
+def test_render_csv_quotes_what_csv_quotes(headers, cell):
+    # one cell csv must quote (an empty one only as a row's lone cell), among plain ones
+    rows = [tuple(f"{cell}{j}" if cell else "" for j in range(len(headers))), ("a",) * len(headers)]
+    text = "".join(_render(CSV, headers, rows))
+    assert text == reference_render(CSV, headers, rows)
+
+
+@pytest.mark.parametrize("value", [2.0, -0.0, 1234567.5, 1e300, 1.5e-323, 1e-310, 0.1, 1 / 3])
+@pytest.mark.parametrize("precision", [6, 15, 16, 17])
+def test_render_json_floats_as_json_does(precision, value):
+    # one value whose %g text is not its JSON text (integer-looking, an e+
+    # exponent, subnormal, more digits than a float holds), among plain ones
+    out = OutputSpec(format="json", precision=precision)
+    rows = [(value,), (0.25,), (1.5e-5,)]
+    assert "".join(_render(out, ("v",), rows)) == reference_render(out, ("v",), rows)
+
+
+def test_render_table_holds_no_cells(monkeypatch):
+    # The table once held every row's cells to size its columns: a tuple and
+    # five str objects per row, a 14 MiB peak at n = 40 (37,338 rows). It now
+    # holds each block's columns joined into one string each, less text than
+    # the padded output, plus the block in hand: about 3.3 MiB, below the
+    # 5.2 MB of its own output, which the cells exceeded almost threefold.
+    report = spectrum.quantum_spectrum(40)
+    monkeypatch.setattr(spectrum, "quantum_spectrum", lambda n: report)
+    chunks = cmd_spectrum(40, "quantum", 0.5, TABLE)
+    size = 0
+    tracemalloc.start()
+    try:
+        for chunk in chunks:
+            size += len(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= size
 
 
 def test_verify_passes(capsys):

@@ -216,6 +216,14 @@ def test_asymptotic_rejects_zero():
         asymptotic_log2_p(0)
 
 
+def test_asymptotic_takes_integers_only():
+    # the size rule of every entry point: a bool counts as its int
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            asymptotic_log2_p(bad)
+    assert asymptotic_log2_p(True) == asymptotic_log2_p(1)
+
+
 @pytest.mark.parametrize("n", [1, 4, 100])
 def test_asymptotic_values(n):
     assert asymptotic_log2_p(n) == pytest.approx(

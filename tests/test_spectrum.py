@@ -703,6 +703,15 @@ def test_information_series_validation():
         information_series(64, 65)
 
 
+def test_information_series_takes_integers_only():
+    # Both sizes pass the size rule first: before the range and cap checks
+    # (70.0 is not over the cap, 0.5 not below 1) and before range() does.
+    for n_min, n_max in ((1, 2.0), (1, 70.0), (0.5, 3), (1, "2")):
+        with pytest.raises(TypeError):
+            information_series(n_min, n_max)
+    assert information_series(True, 2) == information_series(1, 2)
+
+
 def test_spectrum_report_validation():
     good = quantum_spectrum(2)
     with pytest.raises(ValueError):
