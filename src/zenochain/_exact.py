@@ -8,24 +8,11 @@ of Z[zeta]: two intensities are equal exactly when 4^n times each reduces to
 the same integer polynomial modulo Phi_2n (:func:`exact_key`).
 
 Imported by ``spectrum`` only for sizes whose sorted intensities have
-near-equal neighbours; no float enters any decision made here.
+near-equal neighbours, where it keys each candidate partition by
+:func:`exact_key`; no float enters any decision made here.
 """
 
 from __future__ import annotations
-
-Row = tuple[float, tuple[int, ...], int]
-
-
-def exact_groups(n: int, run: list[Row], phi: list[int]) -> list[list[Row]]:
-    """Split a run of rows into groups of exactly equal intensity by
-    :func:`exact_key` (``phi`` = Phi_2n), each group's rows in run order and
-    the groups in the order of their first rows: for a run sorted brightest
-    first, brightest group first.
-    """
-    by_key: dict[tuple[int, ...], list[Row]] = {}
-    for row in run:
-        by_key.setdefault(exact_key(n, row[1], phi), []).append(row)
-    return list(by_key.values())
 
 
 def exact_key(n: int, parts: tuple[int, ...], phi: list[int]) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from operator import index, itemgetter
 from typing import Iterable
 
@@ -206,14 +206,15 @@ def _partition_report(
 
     Every row is checked first (count in 1..2^n, intensity nonnegative and not
     NaN), before any object is built. Rows are then sorted brightest first.
-    Only maximal runs of sorted rows whose neighbours lie within the merge
-    window (see ``_MERGE_WINDOW``) can hold equal intensities; inside a run,
-    rows are grouped by exact value (``_exact.exact_groups``), so every merge is
-    a proven identity and no distinct pair is ever joined. A merged class
-    keeps its brightest member's float but is labelled by the
-    lexicographically smallest member partition, so the label never depends
-    on which member's float happens to round higher; ``merges`` lists the
-    other members brightest first.
+    Only rows within the merge window of a sorted neighbour (see
+    ``_MERGE_WINDOW``) can share an intensity; these candidates are grouped in
+    one pass by exact value (``_exact.exact_key``), so every merge is a proven
+    identity and no distinct pair is ever joined. A group's merged row takes
+    the place of its first (brightest) row and the others are dropped, so the
+    rows stay sorted. A merged class keeps its brightest member's float but is
+    labelled by the lexicographically smallest member partition, so the label
+    never depends on which member's float happens to round higher; ``merges``
+    lists the other members brightest first.
     """
     total = 1 << n
     for intensity, _, count in rows:
@@ -225,37 +226,29 @@ def _partition_report(
         i for i in range(1, len(rows))
         if rows[i - 1][0] - rows[i][0] <= window * rows[i - 1][0]
     ]
-    runs: list[list[int]] = []  # [first, end) row indices of each candidate run
-    for i in near:
-        if runs and runs[-1][1] == i:
-            runs[-1][1] = i + 1
-        else:
-            runs.append([i - 1, i + 1])
 
     merges: list[tuple[Partition, Partition]] = []
-    if runs:
-        # Splice one row per exact class in place of each run's rows. Sizes
-        # without near-equal neighbours never load the exact arithmetic.
+    if near:
+        # Sizes without near-equal neighbours never load the exact arithmetic.
         from . import _exact
 
         phi = _exact.cyclotomic(2 * n)
-        spliced = []
-        remaining = iter(rows)
-        done = 0
-        for first, end in runs:
-            spliced.extend(islice(remaining, first - done))
-            run = list(islice(remaining, end - first))
-            for members in _exact.exact_groups(n, run, phi):
+        groups: dict[tuple[int, ...], list[int]] = {}  # exact key -> row indices
+        for i in sorted({j - 1 for j in near}.union(near)):
+            groups.setdefault(_exact.exact_key(n, rows[i][1], phi), []).append(i)
+        for indices in groups.values():
+            if len(indices) > 1:
+                members = sorted((rows[i] for i in indices), key=lambda m: (-m[0], m[1]))
                 label = min(m[1] for m in members)
-                members.sort(key=lambda m: (-m[0], m[1]))
                 kept = Partition._trusted(label, n)
                 merges.extend(
                     (kept, Partition._trusted(m[1], n)) for m in members if m[1] != label
                 )
-                spliced.append((members[0][0], label, sum(m[2] for m in members)))
-            done = end
-        spliced.extend(remaining)
-        rows = spliced
+                rows[indices[0]] = (members[0][0], label, sum(m[2] for m in members))
+                for i in indices[1:]:
+                    rows[i] = None
+        if merges:
+            rows = [row for row in rows if row is not None]
 
     labels = _trusted(Partition, len(rows), parts=map(itemgetter(1), rows), n=repeat(n))
     classes = _trusted(
@@ -405,16 +398,16 @@ def information_series(n_min: int, n_max: int) -> tuple[InformationPoint, ...]:
         raise CapacityError(f"information_series supports n <= {ENUMERATION_CAP}, got {n_max}")
     points = []
     for n in range(n_min, n_max + 1):
-        classical_bits = classical_spectrum(n, DEFAULT_ALPHA).entropy_bits
-        quantum_bits = quantum_spectrum(n).entropy_bits
+        classical = classical_spectrum(n, DEFAULT_ALPHA)
+        quantum = quantum_spectrum(n)
         points.append(
             InformationPoint(
                 n=n,
-                classical_bits=classical_bits,
-                quantum_bits=quantum_bits,
-                classical_bound_bits=math.log2(n + 1),
-                quantum_bound_bits=asymptotic_log2_p(n),
-                quantum_classical_ratio=quantum_bits / classical_bits,
+                classical_bits=classical.entropy_bits,
+                quantum_bits=quantum.entropy_bits,
+                classical_bound_bits=classical.bound_bits,
+                quantum_bound_bits=quantum.bound_bits,
+                quantum_classical_ratio=quantum.entropy_bits / classical.entropy_bits,
             )
         )
     return tuple(points)

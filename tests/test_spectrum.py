@@ -245,9 +245,6 @@ def test_exact_key_separates_near_misses(n):
     assert abs(a - b) <= 1e-12 * max(a, b)  # what the float tolerance joined
     phi = _exact.cyclotomic(2 * n)
     assert _exact.exact_key(n, kept, phi) != _exact.exact_key(n, absorbed, phi)
-    rows = sorted([(a, kept, 1), (b, absorbed, 1)], reverse=True)
-    groups = _exact.exact_groups(n, rows, phi)
-    assert [[row[1] for row in group] for group in groups] == [[rows[0][1]], [rows[1][1]]]
 
 
 @pytest.mark.parametrize("n", sorted(NEAR_MISSES))
@@ -312,10 +309,11 @@ def test_exact_groups_of_candidate_runs_like_mpmath(n, runs, merges):
                         break
                 else:
                     by_value.append([(value, parts)])
-        groups = _exact.exact_groups(n, run, phi)
-        assert [[row[1] for row in group] for group in groups] == [
-            [parts for _, parts in group] for group in by_value
-        ]
+        by_key = {}
+        for _, parts, _ in run:
+            by_key.setdefault(_exact.exact_key(n, parts, phi), []).append(parts)
+        groups = list(by_key.values())
+        assert groups == [[parts for _, parts in group] for group in by_value]
         joined += len(run) - len(groups)
     assert joined == merges
 
@@ -367,6 +365,30 @@ def test_partition_report_checks_rows_before_building(monkeypatch):
         with pytest.raises(ValueError, match=message):
             spectrum._partition_report(n, rows)
         assert rows == before  # not sorted either
+
+
+def test_merged_row_keeps_its_place_among_interleaved_classes():
+    # 8+4+2+1 and 7+6+1+1 are exactly equal; given the same float as the
+    # distinct 7+7+1, the three sort as 8+4+2+1, 7+7+1, 7+6+1+1
+    n = 15
+    cos_sq = [0.0] * (n + 1)
+    for g in range(1, n):
+        c = math.cos(g * math.pi / (2.0 * n))
+        cos_sq[g] = c * c
+    rows = list(_partition_profiles(n, cos_sq))
+    common = _float_intensity(n, (8, 4, 2, 1))
+    tied = {(8, 4, 2, 1), (7, 6, 1, 1), (7, 7, 1)}
+    rows = [(common, parts, count) if parts in tied else (value, parts, count)
+            for value, parts, count in rows]
+    counts = {parts: count for _, parts, count in rows}
+    report = spectrum._partition_report(n, rows)
+    labels = [c.label.parts for c in report.classes]
+    at = labels.index((7, 6, 1, 1))
+    assert labels[at + 1] == (7, 7, 1)
+    assert (8, 4, 2, 1) not in labels
+    assert report.classes[at].count == counts[(7, 6, 1, 1)] + counts[(8, 4, 2, 1)]
+    assert report.merges == ((Partition((7, 6, 1, 1)), Partition((8, 4, 2, 1))),)
+    assert len(report.classes) == count_partitions(n) - 1
 
 
 @pytest.mark.parametrize("report", [quantum_spectrum(15), classical_spectrum(6, 0.5)],
