@@ -20,7 +20,6 @@ import json
 import math
 import sys
 from dataclasses import astuple, dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -273,21 +272,6 @@ def cmd_zeno(ns: Sequence[int], out: OutputSpec) -> Iterator[str]:
 _TABLE_PN = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
 _P100 = 190_569_292
 
-# The eight 3-slot configurations in slot-string order with their exact
-# transmitted intensities.
-_N3_INTENSITIES = (
-    ("000", Fraction(0)),
-    ("001", Fraction(0)),
-    ("010", Fraction(3, 16)),
-    ("011", Fraction(3, 16)),
-    ("100", Fraction(3, 16)),
-    ("101", Fraction(3, 16)),
-    ("110", Fraction(27, 64)),
-    ("111", Fraction(27, 64)),
-)
-
-_N3_PROBABILITIES = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-
 
 def cmd_verify() -> tuple[str, bool]:
     """Recompute the built-in reference values and report each comparison.
@@ -295,6 +279,20 @@ def cmd_verify() -> tuple[str, bool]:
     All calls go through the module namespaces on purpose, so a patched
     implementation is what gets checked.
     """
+    from fractions import Fraction  # loads decimal and numbers: only for verify
+
+    # exact intensities of the 3-slot configurations, and the n = 3 class probabilities
+    n3_intensities = (
+        ("000", Fraction(0)),
+        ("001", Fraction(0)),
+        ("010", Fraction(3, 16)),
+        ("011", Fraction(3, 16)),
+        ("100", Fraction(3, 16)),
+        ("101", Fraction(3, 16)),
+        ("110", Fraction(27, 64)),
+        ("111", Fraction(27, 64)),
+    )
+    n3_probabilities = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
     lines: list[str] = []
     all_ok = True
 
@@ -313,7 +311,7 @@ def cmd_verify() -> tuple[str, bool]:
     p100 = partitions.count_partitions(100)
     check("p(100)", p100, p100 == _P100, _P100)
 
-    for bits, expected in _N3_INTENSITIES:
+    for bits, expected in n3_intensities:
         value = apparatus.quantum_intensity(apparatus.ApparatusConfig.from_bits(bits))
         check(f"intensity(n=3,{bits})", _fmt(value, 12),
               abs(value - float(expected)) <= 1e-12, _fmt(float(expected), 12))
@@ -321,7 +319,7 @@ def cmd_verify() -> tuple[str, bool]:
     report = spectrum.quantum_spectrum(3)
     probs = tuple(c.probability for c in report.classes)
     check("class probabilities(n=3)", ",".join(map(str, probs)),
-          probs == _N3_PROBABILITIES, ",".join(map(str, _N3_PROBABILITIES)))
+          probs == n3_probabilities, ",".join(map(str, n3_probabilities)))
     check("entropy(n=3)", _fmt(report.entropy_bits, 12),
           abs(report.entropy_bits - 1.5) <= 1e-12, 1.5)
 

@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import gc
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import repeat
-from operator import index, itemgetter
-from typing import Iterable
+from itertools import filterfalse, repeat
+from operator import add, index, itemgetter, mul, sub
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .apparatus import ApparatusConfig, gaps, simulate_intensity
 from .partitions import (
     COUNT_CAP,
     ENUMERATION_CAP,
@@ -46,6 +44,9 @@ from .partitions import (
     _partition_profiles,
     asymptotic_log2_p,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -63,7 +64,7 @@ __all__ = [
     "reports_match",
 ]
 
-#: Largest n for the exhaustive 2^n sweep in brute_force_spectrum.
+#: Largest n for the exhaustive 2^n sweep in brute_force_spectrum (about 1 s at n = 20).
 BRUTE_FORCE_CAP = 20
 
 #: Largest n for classical_spectrum; counts stay exact, intensities may
@@ -139,6 +140,7 @@ class IntensityClass:
     @property
     def probability(self) -> Fraction:
         """Exact occupation probability, count / 2^n."""
+        from fractions import Fraction  # loads decimal and numbers: only when asked
         return Fraction(self.count, self.total)
 
     @property
@@ -298,34 +300,74 @@ def quantum_spectrum(n: int) -> SpectrumReport:
     return report
 
 
+# Blocks are grown over the last <= 10 slots: at most 2^10 configurations at any n.
+_BLOCK_SLOTS = 10
+
+
+def _config_blocks(n: int) -> Iterator[tuple[range, list[float], list[int]]]:
+    """All 2^n configurations, a block at a time: ``(indices, intensities, keys)``.
+
+    Walks the binary tree of slot choices: each slot rotates the block with
+    the float operations of :func:`simulate_intensity`, in its order, then
+    doubles it (slot empty, then installed: bit slot - 1 of the index). A key
+    adds (n + 1)^(g - 1) per gap g of :func:`gaps`, so it never carries;
+    ``pending`` is the weight of the gap a polarizer in the next slot would
+    close, which an empty last slot leaves to the detector.
+    """
+    step = math.pi / (2.0 * n)
+    c, s = math.cos(step), math.sin(step)
+
+    def grow(h, v, keys, pending, slots):
+        for slot in slots:
+            rh = list(map(sub, map(mul, h, repeat(c)), map(mul, v, repeat(s))))
+            if slot < n:
+                v = list(map(add, map(mul, h, repeat(s)), map(mul, v, repeat(c)))) + [0.0] * len(h)
+                keys = keys + list(map(add, keys, pending))
+                pending = list(map(mul, pending, repeat(n + 1))) + [1] * len(h)
+            else:
+                keys = list(map(add, keys, pending)) * 2
+            h = rh + rh
+        return h, v, keys, pending
+
+    head = max(n - _BLOCK_SLOTS, 0)
+    for first, state in enumerate(zip(*grow([1.0], [0.0], [0], [1], range(1, head + 1)))):
+        h, _, keys, _ = grow(*([column] for column in state), range(head + 1, n + 1))
+        yield range(first, 1 << n, 1 << head), list(map(mul, h, h)), keys
+
+
+def _key_parts(n: int, key: int) -> tuple[int, ...]:
+    """The gap multiset of a :func:`_config_blocks` key, as descending parts."""
+    return tuple(g for g in range(n, 0, -1) for _ in range(key // (n + 1) ** (g - 1) % (n + 1)))
+
+
 def brute_force_spectrum(n: int) -> SpectrumReport:
     """The same spectrum assembled the expensive way: simulate all 2^n
-    configurations one by one and bucket the measured intensities.
+    configurations and bucket the measured intensities.
 
     Shares no intensity formula and no partition walk with
-    :func:`quantum_spectrum`: labels come from :func:`gaps`, intensities from
-    the stepwise :func:`simulate_intensity`, counts from tallying
-    configurations. Only the exact merge rule is shared, on purpose: the 2^n
-    results are reduced to one row per partition (brightest intensity,
-    configuration count) and assembled like the fast path's rows, so the two
+    :func:`quantum_spectrum`: each configuration is simulated stepwise, a
+    block at a time over the tree of slot choices (:func:`_config_blocks`; a
+    test pins every intensity bit for bit to :func:`simulate_intensity` and
+    every label to :func:`gaps`). Only the exact merge rule is shared, on
+    purpose: the 2^n results become one row per partition (brightest float,
+    configuration count), assembled like the fast path's rows, so the two
     must agree class for class. The oracle's floats stay within a relative
-    3e-15 of the fast path's here (measured to n = 16), far inside the merge
-    window. Capped low because the sweep is exponential.
+    3e-15 of the fast path's (measured to n = 16), far inside the merge window.
     """
     n = _checked_size(n, 1, BRUTE_FORCE_CAP, "brute_force_spectrum")
-    tally: dict[tuple[int, ...], list] = {}  # parts -> [brightest, count]
-    for index in range(1 << n):
-        config = ApparatusConfig.from_index(n, index)
-        parts = tuple(sorted(gaps(config), reverse=True))
-        intensity = simulate_intensity(config)
-        entry = tally.get(parts)
-        if entry is None:
-            entry = tally[parts] = [0.0, 0]
-        if intensity > entry[0] or math.isnan(intensity):  # a NaN, once seen, stays
-            entry[0] = intensity
-        entry[1] += 1
-
-    return _partition_report(n, [(brightest, p, c) for p, (brightest, c) in tally.items()])
+    counts: Counter[int] = Counter()
+    brightest: dict[int, float] = {}
+    for _, intensities, keys in _config_blocks(n):
+        for bad in filterfalse((0.0).__le__, intensities):  # negative or NaN
+            _check_class(bad, 1, 1 << n)  # raises
+        counts.update(keys)
+        order = sorted(range(len(keys)), key=intensities.__getitem__)  # dimmest first,
+        block = dict(zip(map(keys.__getitem__, order), map(intensities.__getitem__, order)))
+        for key, intensity in block.items():  # so each key keeps its brightest float
+            if intensity > brightest.get(key, 0.0):
+                brightest[key] = intensity
+    rows = [(brightest.get(key, 0.0), _key_parts(n, key), count) for key, count in counts.items()]
+    return _partition_report(n, rows)
 
 
 def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:

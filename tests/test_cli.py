@@ -4,9 +4,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 import pytest
 
@@ -537,6 +540,24 @@ def test_verify_passes(capsys):
     assert "p(100)=190569292: ok" in out
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def test_fractions_loaded_only_when_a_fraction_is_made():
+    # a fresh interpreter: fractions, which imports decimal and numbers, is
+    # left unloaded by the CLI until a probability or verify needs it
+    code = (
+        "import sys\n"
+        "import zenochain.cli\n"
+        "print('fractions' in sys.modules)\n"
+        "print(zenochain.quantum_spectrum(3).classes[1].probability)\n"
+        "print('fractions' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "1/2", "True"]
 
 
 def test_verify_catches_tampering(monkeypatch, capsys):

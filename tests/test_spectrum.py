@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from sympy import cyclotomic_poly, symbols, totient
 
 from zenochain import _exact, spectrum
+from zenochain.apparatus import ApparatusConfig, gaps, simulate_intensity
 from zenochain.partitions import (
     COUNT_CAP,
     ENUMERATION_CAP,
@@ -548,17 +550,46 @@ def test_brute_force_matches_quantum_at_collision():
     assert b.merges == q.merges
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_brute_force_tree_matches_the_single_configuration_oracle(n):
+    # n = 11 and 12 take 2 and 4 blocks, so block edges are crossed
+    indices = []
+    for block, intensities, keys in spectrum._config_blocks(n):
+        assert len(block) == len(intensities) == len(keys)
+        for index, intensity, key in zip(block, intensities, keys):
+            config = ApparatusConfig.from_index(n, index)
+            assert intensity.hex() == simulate_intensity(config).hex(), config
+            assert spectrum._key_parts(n, key) == tuple(sorted(gaps(config), reverse=True))
+        indices.extend(block)
+    assert sorted(indices) == list(range(1 << n))
+
+
 def test_brute_force_keeps_an_oracle_nan(monkeypatch):
-    # (1, 0, 0, 0) is not the last configuration of its partition, so a
-    # finite intensity of the same partition follows the NaN
-    real = spectrum.simulate_intensity
+    # configuration index 1 is (1, 0, 0, 0): it is not the last configuration
+    # of its partition, so a finite intensity of the same partition follows the NaN
+    real = spectrum._config_blocks
 
-    def poisoned(config):
-        return math.nan if config.present == (1, 0, 0, 0) else real(config)
+    def poisoned(n):
+        for block, intensities, keys in real(n):
+            yield block, [math.nan if i == 1 else x for i, x in zip(block, intensities)], keys
 
-    monkeypatch.setattr(spectrum, "simulate_intensity", poisoned)
+    monkeypatch.setattr(spectrum, "_config_blocks", poisoned)
     with pytest.raises(ValueError, match="intensity must be nonnegative, got nan"):
         brute_force_spectrum(4)
+
+
+def test_brute_force_at_its_cap_in_bounded_memory():
+    for n in (17, 18, BRUTE_FORCE_CAP):
+        quantum, brute = quantum_spectrum(n), brute_force_spectrum(n)
+        assert reports_match(quantum, brute)
+        assert brute.merges == quantum.merges
+    tracemalloc.start()
+    try:
+        brute_force_spectrum(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20  # one block at a time; the whole tree at once took 8.8 MiB
 
 
 def test_brute_force_n12_class_count():
