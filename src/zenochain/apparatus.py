@@ -44,8 +44,9 @@ class ApparatusConfig:
         if len(self.present) != self.n:
             raise ValueError(f"need {self.n} presence bits, got {len(self.present)}")
         # Checked before converting, so 0.5 or "1" is rejected, not truncated
-        # or parsed; bools pass because they equal 0 and 1.
-        if not set(self.present) <= {0, 1}:
+        # or parsed; bools pass because they equal 0 and 1. Each bit is
+        # compared, never hashed, so an unhashable bit is a ValueError too.
+        if not all(map((0, 1).__contains__, self.present)):
             raise ValueError(f"presence bits must be 0 or 1, got {self.present}")
         object.__setattr__(self, "present", tuple(map(int, self.present)))
 

@@ -3,7 +3,8 @@
 Exact partition counts, canonical enumeration, and the number of apparatus
 configurations realizing each partition. Everything here is exact integer
 arithmetic; the only floats are the asymptotic bit estimate and the product
-of per-part weights that the one partition walk carries for its callers.
+of per-part weights that the one partition walk, a flat loop over a stack of
+distinct parts, keeps as a prefix product for its callers.
 
 All functions are pure and safe to call concurrently; the count cache is
 guarded by a lock and enumeration order is deterministic.
@@ -140,63 +141,57 @@ def _partition_profiles(
 
     ``parts`` is non-increasing and the sequence is reverse-lexicographic:
     ``(n,)`` first, all ones last. ``count`` is the state count,
-    2 m! / prod(multiplicity_j!), accumulated during the walk so large sweeps
-    avoid a factorial recomputation per partition. ``product`` is the product
-    of ``weights[g]`` over the parts g, carried down the walk as a prefix: one
-    multiply per appended part, in the order of the parts, so it has the same
-    bits as ``1.0 * weights[parts[0]] * weights[parts[1]] * ...`` evaluated
-    left to right.
+    2 m! / prod(multiplicity_j!) over the m parts. ``product`` is the product
+    of ``weights[g]`` over the parts g, one multiply per part in the order of
+    the parts, so it has the same bits as
+    ``1.0 * weights[parts[0]] * weights[parts[1]] * ...`` evaluated left to
+    right.
+
+    One loop over a stack of levels, one per distinct part above 1, largest
+    first. Each level keeps the products of its prefix times 1, 2, ... copies
+    of its weight and the state of the levels before it, so the next
+    partition recomputes nothing above the level it changes. The ones are
+    never a level: each leaf multiplies in what is left of ``n``.
     """
     fact = [math.factorial(i) for i in range(n + 1)]
-    return _walk((), 1.0, 0, 1, n, n, weights, fact, [2 * f for f in fact])
-
-
-def _walk(prefix, product, m, denom, remaining, max_value, weights, fact, twice_fact):
-    # Partitions of ``remaining`` into parts <= max_value, appended to the m
-    # parts of ``prefix``; ``product`` and ``denom`` (the product of the
-    # multiplicities' factorials) belong to the prefix. A module-level
-    # generator rather than a closure over itself: a self-referencing closure
-    # is a reference cycle that keeps its tables alive until the cycle
-    # collector runs.
-    for value in range(min(remaining, max_value), 0, -1):
-        weight = weights[value]
-        products = []  # products[k - 1]: the prefix's product times k copies of weight
-        running = product
-        for _ in range(remaining // value):
-            running *= weight
-            products.append(running)
-        mult, rest = divmod(remaining, value)
-        if rest == 0:  # value fills the remainder exactly: a leaf
-            yield (
-                products[-1],
-                prefix + (value,) * mult,
-                twice_fact[m + mult] // (denom * fact[mult]),
-            )
+    twice_fact = [2 * f for f in fact]
+    one = weights[1]
+    levels = []
+    product, parts, m, denom = 1.0, (), 0, 1
+    value = rest = n
+    while True:
+        # Fill: the largest parts <= value that fit into rest, ones excepted.
+        while rest > 1 and value > 1:
+            value = min(value, rest)
+            mult, rest = divmod(rest, value)
+            weight = weights[value]
+            products = []  # [k - 1]: the prefix's product times k copies of weight
+            running = product
+            for _ in range(mult):
+                running *= weight
+                products.append(running)
+            levels.append((value, mult, products, product, parts, m, denom))
+            product = running
+            parts += (value,) * mult
+            m += mult
+            denom *= fact[mult]
+            value -= 1
+        for _ in range(rest):
+            product *= one
+        yield product, parts + (1,) * rest, twice_fact[m + rest] // (denom * fact[rest])
+        if not levels:
+            return
+        # Next partition: one copy of the last level's value joins the ones.
+        value, mult, products, product, parts, m, denom = levels.pop()
+        rest += value
+        if mult > 1:
             mult -= 1
-            rest = value
-        if value == 1:
-            return  # ones must absorb the whole remainder
-        if value == 2:
-            # Below a 2 only ones can follow, so each k twos is one leaf:
-            # yield it here rather than open a generator for a one-leaf walk.
-            one = weights[1]
-            for k in range(mult, 0, -1):
-                running = products[k - 1]
-                for _ in range(rest):
-                    running *= one
-                yield (
-                    running,
-                    prefix + (2,) * k + (1,) * rest,
-                    twice_fact[m + k + rest] // (denom * fact[k] * fact[rest]),
-                )
-                rest += 2
-            continue  # the all-ones leaf comes from value 1
-        for k in range(mult, 0, -1):
-            yield from _walk(
-                prefix + (value,) * k, products[k - 1], m + k,
-                denom * fact[k], rest, value - 1, weights, fact, twice_fact,
-            )
-            rest += value
+            levels.append((value, mult, products, product, parts, m, denom))
+            product = products[mult - 1]
+            parts += (value,) * mult
+            m += mult
+            denom *= fact[mult]
+        value -= 1
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

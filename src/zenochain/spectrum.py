@@ -271,8 +271,8 @@ def quantum_spectrum(n: int) -> SpectrumReport:
     """Detector spectrum of the n-slot chain over all 2^n configurations.
 
     Walks the partitions of n instead of the configurations: each partition
-    contributes one row, its intensity carried down the walk as a prefix
-    product of squared cosines and its count the number of configurations
+    contributes one row, its intensity a prefix product of squared cosines
+    kept by the walk and its count the number of configurations
     with that gap multiset, so the cost is p(n), not 2^n. Partitions of
     exactly equal intensity are merged into one class, each merge proven by
     exact arithmetic (see the module notes on collisions).

@@ -73,7 +73,7 @@ def test_config_validation():
         ApparatusConfig(2, (1,))
     # bits are checked as given, never truncated or parsed; strings go
     # through from_bits
-    for present in ((1, 2), (-1, 0), (0.5, 1), (1.9, 0), ("0", "1"), (float("nan"), 1)):
+    for present in ((1, 2), (-1, 0), (0.5, 1), (1.9, 0), ("0", "1"), (float("nan"), 1), ([1], 0)):
         with pytest.raises(ValueError):
             ApparatusConfig(2, present)
     assert ApparatusConfig(2, (True, False)).present == (1, 0)

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from collections import deque
 
 import pytest
 from sympy.functions.combinatorial.numbers import partition as sympy_partition
@@ -190,7 +192,7 @@ def test_profiles_random_spot_checks():
         assert count == state_count(Partition(parts))
 
 
-@pytest.mark.parametrize("n", range(1, 31))
+@pytest.mark.parametrize("n", [*range(1, 31), 45])
 def test_profiles_prefix_product_is_bit_exact(n):
     # the walk carries the product down as a prefix; it must have the bits
     # of the product taken over each partition's parts from scratch, for the
@@ -205,6 +207,18 @@ def test_profiles_prefix_product_is_bit_exact(n):
             assert product == expected, parts
             seen += 1
         assert seen == count_partitions(n)
+
+
+def test_profiles_walk_is_lazy():
+    # the walk yields one row at a time: draining its 204,226 rows at n = 50
+    # must never hold them all at once, as a list of them would (54 MiB)
+    tracemalloc.start()
+    try:
+        deque(_partition_profiles(50, _ones(50)), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
 
 
 def test_asymptotic_constant():
