@@ -15,6 +15,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "ApparatusConfig",
@@ -52,15 +53,23 @@ class ApparatusConfig:
 
     @classmethod
     def from_bits(cls, bits: str) -> "ApparatusConfig":
-        """Parse a slot string read left to right, e.g. ``"010"`` = slot 2 only."""
-        return cls(len(bits), tuple(int(c) for c in bits))
+        """Parse a slot string read left to right, e.g. ``"010"`` = slot 2 only.
+
+        Only the ASCII digits 0 and 1 are bits: any other character (a
+        space, an underscore, a non-ASCII digit) raises ``ValueError``.
+        """
+        if bits.strip("01"):  # non-empty exactly when some character is no bit
+            raise ValueError(f"presence bits must be 0 or 1, got {bits!r}")
+        return cls(len(bits), tuple(bits.encode().translate(_BITS)))
 
     @classmethod
     def from_index(cls, n: int, index: int) -> "ApparatusConfig":
         """Configuration whose slot i holds a polarizer iff bit i-1 of ``index`` is set.
 
-        Only ``n`` and ``index`` are checked; the bits, generated here as ints
-        0 and 1 at C level, are stored without ``__post_init__``.
+        Only ``n`` and ``index`` are checked. The bits are the binary digits
+        of ``index | 1 << n`` below its leading 1, read backwards and turned
+        into ints 0 and 1 at C level; both fields are stored through the slot
+        descriptors, without ``__init__`` or ``__post_init__``.
         """
         n = operator.index(n)
         index = operator.index(index)
@@ -68,10 +77,9 @@ class ApparatusConfig:
             raise ValueError(f"n must be >= 1, got {n}")
         if not 0 <= index < (1 << n):
             raise ValueError(f"index must lie in [0, 2^{n}), got {index}")
-        present = tuple(f"{index:0{n}b}"[::-1].encode().translate(_BITS))
         config = object.__new__(cls)
-        object.__setattr__(config, "n", n)
-        object.__setattr__(config, "present", present)
+        _set_n(config, n)
+        _set_present(config, tuple(bin(index | 1 << n)[:2:-1].encode().translate(_BITS)))
         return config
 
     @property
@@ -82,6 +90,12 @@ class ApparatusConfig:
     def bits(self) -> str:
         """Slot string read left to right; inverse of :meth:`from_bits`."""
         return "".join(map(str, self.present))
+
+
+# The slot descriptors' setters, bound once: they store a field of a frozen
+# instance without going through its __setattr__.
+_set_n = ApparatusConfig.n.__set__
+_set_present = ApparatusConfig.present.__set__
 
 
 def gaps(config: ApparatusConfig) -> tuple[int, ...]:
@@ -104,21 +118,42 @@ def gaps(config: ApparatusConfig) -> tuple[int, ...]:
     return tuple(parts)
 
 
+@lru_cache(maxsize=128)
+def _cos_sq(n: int) -> tuple[float, ...]:
+    """``cos^2(g pi/2n)`` for g = 0..n, with both ends exactly 0.0.
+
+    Gap 0 never occurs; gap n delivers the beam fully vertical. The last
+    128 sizes asked for are kept, which covers every n of a spectrum.
+    """
+    table = [0.0] * (n + 1)
+    for g in range(1, n):
+        c = math.cos(g * math.pi / (2.0 * n))
+        table[g] = c * c
+    return tuple(table)
+
+
 def quantum_intensity(config: ApparatusConfig) -> float:
     """Transmitted intensity by the gap-product rule: prod of cos^2(g pi/2n).
 
+    The factors are read from one table of ``cos^2(g pi/2n)``, g = 0..n,
+    per chain size, built on first use. Each entry is ``c * c`` with
+    ``c = math.cos(g * math.pi / (2.0 * n))``, as a per-gap evaluation
+    computes it, so every product keeps its bits. The tables of the last
+    128 sizes are kept. A table holds n + 1 floats,
+    about 32 (n + 1) bytes, so the memo holds at most 128 tables of the
+    largest chain in use: under 0.3 MB while every n is at most 64, and
+    about 4 GB if 128 distinct chains of a million slots each are
+    evaluated in turn.
+
     Returns exactly 0.0 when some gap spans the whole chain, i.e. the beam
-    arrives fully vertical at an analyzer; that happens only for the empty
-    configuration and for a lone polarizer in the last slot. No other
-    configuration darkens the detector completely.
+    arrives fully vertical at an analyzer; that table entry is an exact 0.0.
+    It happens only for the empty configuration and for a lone polarizer in
+    the last slot. No other configuration darkens the detector completely.
     """
-    n = config.n
+    table = _cos_sq(config.n)
     result = 1.0
     for g in gaps(config):
-        if g == n:
-            return 0.0
-        c = math.cos(g * math.pi / (2.0 * n))
-        result *= c * c
+        result *= table[g]
     return result
 
 

@@ -17,7 +17,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 __all__ = [
     "ASYMPTOTIC_BITS_PER_SQRT_N",
@@ -135,7 +135,7 @@ def count_partitions(n: int) -> int:
 
 
 def _partition_profiles(
-    n: int, weights: list[float]
+    n: int, weights: Sequence[float]
 ) -> Iterator[tuple[float, tuple[int, ...], int]]:
     """Yield ``(product, parts, count)`` for every partition of ``n``.
 

@@ -35,6 +35,7 @@ from itertools import filterfalse, repeat
 from operator import add, index, itemgetter, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from .apparatus import _cos_sq
 from .partitions import (
     COUNT_CAP,
     ENUMERATION_CAP,
@@ -193,11 +194,16 @@ def entropy(probabilities: Iterable[float]) -> float:
     return -math.fsum(p * math.log2(p) for p in ps if p > 0.0)
 
 
-def _entropy_from_counts(counts: Iterable[int], n: int) -> float:
+def _entropy_terms(counts: Iterable[int], n: int) -> Iterator[float]:
     # Exact-count form of the entropy: p log2(1/p) = (c / 2^n) (n - log2 c).
     # Never materializes 2^-n as a float, so it holds up at n = 10,000.
     total = 1 << n
-    return math.fsum((c / total) * (n - math.log2(c)) for c in counts)
+    return ((c / total) * (n - math.log2(c)) for c in counts)
+
+
+def _mirrored(half: list, n: int) -> list:
+    """Entries 0..n of a row symmetric under k -> n - k, from entries 0..n // 2."""
+    return half + half[n - len(half)::-1]
 
 
 def _partition_report(
@@ -261,7 +267,7 @@ def _partition_report(
         n=n,
         kind="quantum",
         classes=classes,
-        entropy_bits=_entropy_from_counts(map(itemgetter(2), rows), n),
+        entropy_bits=math.fsum(_entropy_terms(map(itemgetter(2), rows), n)),
         bound_bits=asymptotic_log2_p(n),
         merges=tuple(merges),
     )
@@ -272,8 +278,9 @@ def quantum_spectrum(n: int) -> SpectrumReport:
 
     Walks the partitions of n instead of the configurations: each partition
     contributes one row, its intensity a prefix product of squared cosines
-    kept by the walk and its count the number of configurations
-    with that gap multiset, so the cost is p(n), not 2^n. Partitions of
+    kept by the walk (the factors are the table that ``quantum_intensity``
+    reads) and its count the number of configurations with that gap
+    multiset, so the cost is p(n), not 2^n. Partitions of
     exactly equal intensity are merged into one class, each merge proven by
     exact arithmetic (see the module notes on collisions).
     """
@@ -282,16 +289,10 @@ def quantum_spectrum(n: int) -> SpectrumReport:
     if cached is not None:
         return cached
 
-    cos_sq = [0.0] * (n + 1)
-    for g in range(1, n):
-        c = math.cos(g * math.pi / (2.0 * n))
-        cos_sq[g] = c * c
-    # cos_sq[n] stays exactly 0.0: that gap delivers the beam fully vertical.
-
     enabled = gc.isenabled()  # see the module notes on the pause
     gc.disable()
     try:
-        report = _partition_report(n, list(_partition_profiles(n, cos_sq)))
+        report = _partition_report(n, list(_partition_profiles(n, _cos_sq(n))))
     finally:
         if enabled:
             gc.enable()
@@ -382,9 +383,12 @@ def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     total = 1 << n
-    binomials = [1]  # C(n, k), advanced incrementally: one row of Pascal's triangle
-    for k in range(n):
-        binomials.append(binomials[-1] * (n - k) // (k + 1))
+    half = [1]  # C(n, k) for k <= n // 2, advanced incrementally along Pascal's row
+    for k in range(n // 2):
+        half.append(half[-1] * (n - k) // (k + 1))
+    # C(n, k) = C(n, n - k), and so are the entropy terms; fsum is exactly
+    # rounded, so mirrored terms give the bits of the full row's terms.
+    binomials = _mirrored(half, n)
     # alpha in (0, 1) and every C(n, k) >= 1: valid by construction
     classes = _trusted(
         IntensityClass, n + 1, label=range(n + 1),
@@ -394,7 +398,7 @@ def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:
         n=n,
         kind="classical",
         classes=classes,
-        entropy_bits=_entropy_from_counts(binomials, n),
+        entropy_bits=math.fsum(_mirrored(list(_entropy_terms(half, n)), n)),
         bound_bits=math.log2(n + 1),
     )
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zenochain import apparatus, spectrum
 from zenochain.apparatus import (
     ApparatusConfig,
     classical_intensity,
@@ -12,6 +13,7 @@ from zenochain.apparatus import (
     simulate_intensity,
     zeno_survival,
 )
+from zenochain.partitions import ENUMERATION_CAP, _partition_profiles
 from zenochain.spectrum import brute_force_spectrum
 
 # exact transmitted intensities for every 3-slot configuration, in
@@ -29,6 +31,18 @@ def test_config_from_bits():
     assert config.present == (0, 1, 0)
     assert config.installed == 1
     assert config.bits() == "010"
+
+
+@pytest.mark.parametrize("bits", ["\uff11\u0660", " 1", "1_", "2", "0x1", "1\n"])
+def test_config_from_bits_takes_ascii_bits_only(bits):
+    # a fullwidth 1 and an Arabic-Indic 0 are digits to int(), but no bits
+    with pytest.raises(ValueError, match="presence bits must be 0 or 1"):
+        ApparatusConfig.from_bits(bits)
+
+
+def test_config_from_bits_rejects_empty_string():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ApparatusConfig.from_bits("")
 
 
 def test_config_from_index_bit_order():
@@ -197,6 +211,55 @@ def test_oracle_bits_pinned():
     assert hashlib.sha256(reports.encode()).hexdigest() == (
         "f2929a25240d61e9ad9e62139bef4b2e61d418e5d9d90eeea16154ecef6edf6e"
     )
+
+
+def _per_gap_cos_product(config):
+    # the gap-product rule evaluated factor by factor, one math.cos per gap
+    n = config.n
+    result = 1.0
+    for g in gaps(config):
+        if g == n:
+            return 0.0
+        c = math.cos(g * math.pi / (2.0 * n))
+        result *= c * c
+    return result
+
+
+def test_quantum_intensity_bits_equal_per_gap_cos_product():
+    # the memoized table must change no bit of the rule evaluated per gap
+    for n in range(1, 17):
+        for config in all_configs(n):
+            assert quantum_intensity(config) == _per_gap_cos_product(config)
+    rng = random.Random(2718)
+    sizes = [rng.randint(17, 64) for _ in range(5_000)] + [200] * 500
+    for n in sizes:
+        config = ApparatusConfig.from_index(n, rng.getrandbits(n))
+        assert quantum_intensity(config) == _per_gap_cos_product(config)
+
+
+def test_cos_sq_memo_stays_bounded():
+    limit = apparatus._cos_sq.cache_info().maxsize
+    assert ENUMERATION_CAP <= limit  # every spectrum size fits at once
+    for n in range(1, 301):
+        quantum_intensity(ApparatusConfig.from_index(n, (1 << n) - 1))
+        assert apparatus._cos_sq.cache_info().currsize <= limit
+    table = apparatus._cos_sq(300)
+    assert type(table) is tuple and len(table) == 301
+    assert table[0] == table[300] == 0.0
+
+
+def test_quantum_spectrum_weights_are_the_memo_table(monkeypatch):
+    seen = []
+
+    def recording_walk(n, weights):
+        seen.append(weights)
+        return _partition_profiles(n, weights)
+
+    monkeypatch.setattr(spectrum, "_partition_profiles", recording_walk)
+    monkeypatch.setattr(spectrum, "_quantum_cache", {})
+    for n in (1, 7, 40):
+        spectrum.quantum_spectrum(n)
+        assert seen[-1] is apparatus._cos_sq(n)
 
 
 def test_last_slot_polarizer_is_redundant():
