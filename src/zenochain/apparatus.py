@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .partitions import ENUMERATION_CAP
+
 __all__ = [
     "ApparatusConfig",
     "classical_intensity",
@@ -118,42 +120,48 @@ def gaps(config: ApparatusConfig) -> tuple[int, ...]:
     return tuple(parts)
 
 
+def _cos_sq_entry(n: int, g: int) -> float:
+    """``cos^2(g pi/2n)``, exactly 0.0 for g = 0 and g = n.
+
+    Gap 0 never occurs; gap n delivers the beam fully vertical.
+    """
+    if g == 0 or g == n:
+        return 0.0
+    c = math.cos(g * math.pi / (2.0 * n))
+    return c * c
+
+
 @lru_cache(maxsize=128)
 def _cos_sq(n: int) -> tuple[float, ...]:
-    """``cos^2(g pi/2n)`` for g = 0..n, with both ends exactly 0.0.
-
-    Gap 0 never occurs; gap n delivers the beam fully vertical. The last
-    128 sizes asked for are kept, which covers every n of a spectrum.
-    """
-    table = [0.0] * (n + 1)
-    for g in range(1, n):
-        c = math.cos(g * math.pi / (2.0 * n))
-        table[g] = c * c
-    return tuple(table)
+    """The table of :func:`_cos_sq_entry` for g = 0..n. The last 128 sizes
+    asked for are kept; the package asks only for n <= ``ENUMERATION_CAP``."""
+    return tuple(_cos_sq_entry(n, g) for g in range(n + 1))
 
 
 def quantum_intensity(config: ApparatusConfig) -> float:
     """Transmitted intensity by the gap-product rule: prod of cos^2(g pi/2n).
 
-    The factors are read from one table of ``cos^2(g pi/2n)``, g = 0..n,
-    per chain size, built on first use. Each entry is ``c * c`` with
-    ``c = math.cos(g * math.pi / (2.0 * n))``, as a per-gap evaluation
-    computes it, so every product keeps its bits. The tables of the last
-    128 sizes are kept. A table holds n + 1 floats,
-    about 32 (n + 1) bytes, so the memo holds at most 128 tables of the
-    largest chain in use: under 0.3 MB while every n is at most 64, and
-    about 4 GB if 128 distinct chains of a million slots each are
-    evaluated in turn.
+    Up to n = ``ENUMERATION_CAP`` (64), every spectrum size, the factors are
+    read from one memoized table of ``cos^2(g pi/2n)``, g = 0..n, per chain
+    size, built on first use: at most 64 tables, under 0.1 MB. A longer
+    chain keeps no table and evaluates each of its factors instead. Either
+    way a factor is ``c * c`` with ``c = math.cos(g * math.pi / (2.0 * n))``,
+    one expression for both, so every product keeps its bits.
 
     Returns exactly 0.0 when some gap spans the whole chain, i.e. the beam
-    arrives fully vertical at an analyzer; that table entry is an exact 0.0.
+    arrives fully vertical at an analyzer; that factor is an exact 0.0.
     It happens only for the empty configuration and for a lone polarizer in
     the last slot. No other configuration darkens the detector completely.
     """
-    table = _cos_sq(config.n)
+    n = config.n
     result = 1.0
-    for g in gaps(config):
-        result *= table[g]
+    if n <= ENUMERATION_CAP:
+        table = _cos_sq(n)
+        for g in gaps(config):
+            result *= table[g]
+    else:
+        for g in gaps(config):
+            result *= _cos_sq_entry(n, g)
     return result
 
 

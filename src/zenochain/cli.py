@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import astuple, dataclass
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter, truediv
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -84,7 +84,8 @@ def _render(
 
     The one renderer of every subcommand. Ints and strings print as ``str``,
     floats at ``out.precision`` significant digits (a number rounded the same
-    way in JSON), a Partition as ``8+4+2+1`` (its list of parts in JSON).
+    way in JSON), a partition as its tuple of parts, ``8+4+2+1`` (a list of
+    parts in JSON).
     ``lead`` fields become ``# key=value`` lines in CSV and the leading keys
     in JSON. JSON lists the rows under ``key``, then each
     ``(name, headers, rows)`` table of ``tail``. ``footers`` are lines
@@ -100,14 +101,16 @@ def _render(
     as_json = out.format == "json"
 
     def text(value: object) -> str:
-        return fmt(value) if isinstance(value, float) else str(value)
+        if isinstance(value, float):
+            return fmt(value)
+        return "+".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
     def json_text(value: object) -> str:
         if isinstance(value, float):
             value = float(fmt(value))
             return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-        if isinstance(value, partitions.Partition):
-            return "[\n        " + ",\n        ".join(map(str, value.parts)) + "\n      ]"
+        if isinstance(value, tuple):
+            return "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
         if isinstance(value, str):
             return encode_basestring_ascii(value)
         return int.__repr__(value)
@@ -117,11 +120,10 @@ def _render(
     def convert(column: tuple[object, ...]) -> list[str]:
         kinds = set(map(type, column))
         kind = kinds.pop() if len(kinds) == 1 else None
-        if kind is partitions.Partition:
-            parts = list(map(attrgetter("parts"), column))
-            digit = _DIGITS.__getitem__ if max(map(itemgetter(0), parts)) < len(_DIGITS) else str
+        if kind is tuple:
+            digit = _DIGITS.__getitem__ if max(map(itemgetter(0), column)) < len(_DIGITS) else str
             labels = map((",\n        " if as_json else "+").join,
-                         map(map, itertools.repeat(digit), parts))
+                         map(map, itertools.repeat(digit), column))
             return list(map("[\n        {}\n      ]".format, labels) if as_json else labels)
         if kind is float and as_json:
             texts = list(map(fmt, column))
@@ -213,10 +215,10 @@ def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> Iterator[s
 
     p = out.precision
     headers = ("label", "intensity", "count", "probability", "probability_float")
-    rows = (  # c.count / c.total is c.probability_float without the property call
-        (c.label, c.intensity, c.count, f"{c.count}/2^{report.n}", c.count / c.total)
-        for c in report.classes
-    )
+    # Read from the columns, a partition label as its parts: no class object is made.
+    labels, intensities, counts = spectrum._columns(report.classes)
+    rows = zip(labels, intensities, counts, map(f"{{}}/2^{report.n}".format, counts),
+               map(truediv, counts, itertools.repeat(1 << report.n)))
     lead = [
         ("n", report.n),
         ("kind", report.kind),
@@ -231,9 +233,10 @@ def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> Iterator[s
     ]
     for kept, absorbed in report.merges:
         footers.append(f"merged {absorbed} into {kept} (same intensity)")
+    merges = [(kept.parts, absorbed.parts) for kept, absorbed in report.merges]
     return _render(
         out, headers, rows, key="classes",
-        lead=lead, tail=[("merges", ("into", "absorbed"), report.merges)], footers=footers,
+        lead=lead, tail=[("merges", ("into", "absorbed"), merges)], footers=footers,
     )
 
 

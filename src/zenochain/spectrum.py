@@ -14,15 +14,26 @@ float tolerance. Equal intensities are merged into one class and every merge
 is reported, so downstream consumers never see two classes an instrument
 could not tell apart, and never lose two it could.
 
-While ``quantum_spectrum`` builds a class list, the cyclic garbage collector
-is paused: the build makes no reference cycles, so collecting during it
-frees nothing, yet its passes would walk the build's objects over and over,
-and every object the process holds now and then. The pause is process-wide
-(``gc`` has no per-thread switch). A concurrent build in another thread may
-turn the collector back on before this one ends; that costs speed only and
-never changes a result. A caller that has disabled the collector itself
-keeps it disabled. ``classical_spectrum`` builds only n + 1 classes and
-does not pause it.
+A report's ``classes`` is a read-only sequence, not a tuple: it keeps three
+columns (labels, intensities, counts) and makes an ordinary
+``IntensityClass`` only when an element is read. It supports ``len``,
+indexing (negative indices too), slicing (which gives a tuple), iteration,
+``in``, ``index``, ``count`` and ``reversed``; it compares equal to the
+tuple of its elements, with that tuple's hash and repr, and pickles.
+``tuple(report.classes)`` gives a real tuple. The count check, the
+entropy, ``reports_match`` and the CLI read the columns and make no
+``IntensityClass``. A report built from a tuple of classes, as by hand,
+works as before and compares equal to the columnar one.
+
+While ``quantum_spectrum`` walks the partitions and sorts the walk's rows,
+the cyclic garbage collector is paused: the build makes no reference
+cycles, so collecting during it frees nothing, yet its passes would walk
+the rows over and over, and every object the process holds now and then.
+The pause is process-wide (``gc`` has no per-thread switch). A concurrent
+build in another thread may turn the collector back on before this one
+ends; that costs speed only and never changes a result. A caller that has
+disabled the collector itself keeps it disabled. ``classical_spectrum`` has
+only n + 1 classes and does not pause it.
 """
 
 from __future__ import annotations
@@ -30,8 +41,9 @@ from __future__ import annotations
 import gc
 import math
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
+from itertools import chain, filterfalse, repeat
 from operator import add, index, itemgetter, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -94,9 +106,10 @@ _SUM_TOL = 1e-9
 # distinct ones at least 4.76e-13.
 _MERGE_WINDOW = 1e-10
 
-# Quantum reports are cached only at sizes where they are small; a cached
-# n = 64 report would pin ~1 GB. Plain dict: worst case under concurrent use
-# is duplicated work, results are identical.
+# Quantum reports are cached only at sizes where they are small: by
+# tracemalloc, a cached n = 32 report holds 1.7 MiB, an n = 64 one would hold
+# 414 MiB, most of it its 1.7 M parts tuples. Plain dict: worst case under
+# concurrent use is duplicated work, results are identical.
 _QUANTUM_CACHE_MAX_N = 32
 _quantum_cache: dict[int, "SpectrumReport"] = {}
 
@@ -149,11 +162,89 @@ class IntensityClass:
         return self.count / self.total
 
 
+# Iteration makes the classes of this many rows at a time.
+_READ_BLOCK = 1024
+
+
+class _ClassColumns(Sequence):
+    """The ``classes`` of a built report: a read-only sequence over three
+    columns, one entry per class. A label is the parts tuple of a partition
+    of ``n`` (quantum) or an int k (classical).
+
+    An element is an ordinary :class:`IntensityClass` (its label a
+    ``Partition`` when the column holds a parts tuple), made by ``_trusted``
+    when it is read: an index gives one, a slice a tuple of them, iteration
+    ``_READ_BLOCK`` at a time. None of them is kept. Equal to another such
+    sequence with the same ``n`` and columns, and to the tuple of its
+    elements, whose hash and repr it has.
+    """
+
+    __slots__ = ("_n", "_labels", "_intensities", "_counts")
+
+    def __init__(self, n: int, labels: tuple, intensities: tuple[float, ...],
+                 counts: tuple[int, ...]) -> None:
+        self._n = n
+        self._labels = labels
+        self._intensities = intensities
+        self._counts = counts
+
+    def _objects(self, labels: tuple, intensities: tuple, counts: tuple) -> tuple:
+        if labels and type(labels[0]) is tuple:
+            labels = _trusted(Partition, len(labels), parts=labels, n=repeat(self._n))
+        return _trusted(
+            IntensityClass, len(counts), label=labels, intensity=intensities,
+            count=counts, total=repeat(1 << self._n),
+        )
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return self._objects(self._labels[i], self._intensities[i], self._counts[i])
+        return self._objects((self._labels[i],), (self._intensities[i],), (self._counts[i],))[0]
+
+    def __iter__(self) -> Iterator[IntensityClass]:
+        size = len(self)
+        stops = range(_READ_BLOCK, size + _READ_BLOCK, _READ_BLOCK)
+        blocks = map(slice, range(0, size, _READ_BLOCK), stops)
+        return chain.from_iterable(map(self.__getitem__, blocks))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ClassColumns):
+            return (self._n, self._labels, self._intensities, self._counts) == (
+                other._n, other._labels, other._intensities, other._counts)
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self) -> tuple:
+        return _ClassColumns, (self._n, self._labels, self._intensities, self._counts)
+
+
+def _columns(classes: Sequence[IntensityClass]) -> tuple[tuple, tuple, tuple]:
+    """The label, intensity and count columns of ``classes``, a partition
+    label as its parts tuple: a columnar sequence's own, with no object
+    made, or read off the objects of any other sequence."""
+    if isinstance(classes, _ClassColumns):
+        return classes._labels, classes._intensities, classes._counts
+    labels = tuple(c.label.parts if isinstance(c.label, Partition) else c.label for c in classes)
+    return labels, tuple(c.intensity for c in classes), tuple(c.count for c in classes)
+
+
 @dataclass(frozen=True, slots=True)
 class SpectrumReport:
     """Complete class list for one chain size, plus its information content.
 
-    ``classes`` is sorted by strictly decreasing intensity. ``entropy_bits``
+    ``classes`` is sorted by strictly decreasing intensity; the spectrum
+    functions make it a read-only sequence (see the module notes), and a
+    tuple of classes works as well. ``entropy_bits``
     is the Shannon information of the class occupation probabilities and
     never exceeds ``bound_bits`` (log2(n+1) classically, the sqrt-n partition
     asymptotic on the quantum side). ``merges`` records every absorbed
@@ -162,7 +253,7 @@ class SpectrumReport:
 
     n: int
     kind: str
-    classes: tuple[IntensityClass, ...]
+    classes: Sequence[IntensityClass]
     entropy_bits: float
     bound_bits: float
     merges: tuple[tuple[Partition, Partition], ...] = ()
@@ -170,7 +261,7 @@ class SpectrumReport:
     def __post_init__(self) -> None:
         if self.kind not in ("quantum", "classical"):
             raise ValueError(f"kind must be 'quantum' or 'classical', got {self.kind!r}")
-        if sum(c.count for c in self.classes) != 1 << self.n:
+        if sum(_columns(self.classes)[2]) != 1 << self.n:
             raise ValueError("class counts must cover all 2^n configurations exactly")
         if not self.entropy_bits <= math.log2(len(self.classes)) + _SUM_TOL:
             raise ValueError("entropy exceeds log2 of the class count")
@@ -222,7 +313,8 @@ def _partition_report(
     rows stay sorted. A merged class keeps its brightest member's float but is
     labelled by the lexicographically smallest member partition, so the label
     never depends on which member's float happens to round higher; ``merges``
-    lists the other members brightest first.
+    lists the other members brightest first. The sorted rows become the
+    three columns of the report's ``classes``: no ``IntensityClass`` is made.
     """
     total = 1 << n
     for intensity, _, count in rows:
@@ -258,16 +350,14 @@ def _partition_report(
         if merges:
             rows = [row for row in rows if row is not None]
 
-    labels = _trusted(Partition, len(rows), parts=map(itemgetter(1), rows), n=repeat(n))
-    classes = _trusted(
-        IntensityClass, len(rows), label=labels, intensity=map(itemgetter(0), rows),
-        count=map(itemgetter(2), rows), total=repeat(total),
-    )
+    counts = tuple(map(itemgetter(2), rows))
     return SpectrumReport(
         n=n,
         kind="quantum",
-        classes=classes,
-        entropy_bits=math.fsum(_entropy_terms(map(itemgetter(2), rows), n)),
+        classes=_ClassColumns(
+            n, tuple(map(itemgetter(1), rows)), tuple(map(itemgetter(0), rows)), counts
+        ),
+        entropy_bits=math.fsum(_entropy_terms(counts, n)),
         bound_bits=asymptotic_log2_p(n),
         merges=tuple(merges),
     )
@@ -382,17 +472,15 @@ def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:
     n = _checked_size(n, 1, CLASSICAL_CAP, "classical_spectrum")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    total = 1 << n
     half = [1]  # C(n, k) for k <= n // 2, advanced incrementally along Pascal's row
     for k in range(n // 2):
         half.append(half[-1] * (n - k) // (k + 1))
     # C(n, k) = C(n, n - k), and so are the entropy terms; fsum is exactly
     # rounded, so mirrored terms give the bits of the full row's terms.
-    binomials = _mirrored(half, n)
+    binomials = tuple(_mirrored(half, n))
     # alpha in (0, 1) and every C(n, k) >= 1: valid by construction
-    classes = _trusted(
-        IntensityClass, n + 1, label=range(n + 1),
-        intensity=(alpha ** k for k in range(n + 1)), count=binomials, total=repeat(total),
+    classes = _ClassColumns(
+        n, tuple(range(n + 1)), tuple(alpha ** k for k in range(n + 1)), binomials
     )
     return SpectrumReport(
         n=n,
@@ -467,9 +555,8 @@ def reports_match(
     A NaN intensity or tolerance never matches."""
     if a.n != b.n or len(a.classes) != len(b.classes):
         return False
-    for ca, cb in zip(a.classes, b.classes):
-        if ca.label != cb.label or ca.count != cb.count:
-            return False
-        if not abs(ca.intensity - cb.intensity) <= intensity_tol:
-            return False
-    return True
+    labels_a, intensities_a, counts_a = _columns(a.classes)
+    labels_b, intensities_b, counts_b = _columns(b.classes)
+    if labels_a != labels_b or counts_a != counts_b:
+        return False
+    return all(abs(x - y) <= intensity_tol for x, y in zip(intensities_a, intensities_b))

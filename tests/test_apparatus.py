@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -246,6 +247,25 @@ def test_cos_sq_memo_stays_bounded():
     table = apparatus._cos_sq(300)
     assert type(table) is tuple and len(table) == 301
     assert table[0] == table[300] == 0.0
+
+
+def test_cos_sq_memo_keeps_no_table_past_its_cap():
+    rng = random.Random(100_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(100_000, 100_010):
+            config = ApparatusConfig.from_index(n, rng.getrandbits(n))
+            assert 0.0 <= quantum_intensity(config) < 1.0
+        del config
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20  # a table per chain held 30.5 MiB here
+    # past the cap each factor is evaluated alone, with the table's bits
+    for n in (65, 200):
+        config = ApparatusConfig.from_index(n, rng.getrandbits(n))
+        assert quantum_intensity(config) == math.prod(apparatus._cos_sq(n)[g] for g in gaps(config))
 
 
 def test_quantum_spectrum_weights_are_the_memo_table(monkeypatch):

@@ -421,14 +421,16 @@ def reference_render(out, headers, rows, key="rows", lead=(), tail=(), footers=(
     spec = f".{out.precision}g"
 
     def text(value):
+        if isinstance(value, tuple):
+            return str(partitions.Partition(value))
         return format(value, spec) if isinstance(value, float) else str(value)
 
     def json_text(value):
         if isinstance(value, float):
             value = float(format(value, spec))
             return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-        if isinstance(value, partitions.Partition):
-            return "[\n        " + ",\n        ".join(map(str, value.parts)) + "\n      ]"
+        if isinstance(value, tuple):
+            return "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
         if isinstance(value, str):
             return encode_basestring_ascii(value)
         return int.__repr__(value)
@@ -461,11 +463,12 @@ def reference_render(out, headers, rows, key="rows", lead=(), tail=(), footers=(
 # in odd blocks only, so that even blocks take the paths that need neither.
 ODD_FLOATS = (0.1, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1 / 3, 1e300)
 ODD_STRINGS = ("a,b", 'say "x"', "two\nlines", f"pa{_SEP}cked", "\u00e9", "", " pad ", "cr\r")
-BIG = partitions.Partition((65, 1))  # a part past the renderer's digit table
+BIG = (65, 1)  # a part past the renderer's digit table
 
 
 def odd_rows(count):
-    labels = [partitions.Partition._trusted(p, sum(p)) for p in ((3,), (2, 1), (64, 64), (1,) * 9)]
+    # partitions are cells as their tuples of parts
+    labels = [(3,), (2, 1), (64, 64), (1,) * 9]
     for i in range(count):
         yield (
             labels[i % 4],
@@ -474,7 +477,7 @@ def odd_rows(count):
             2.0 ** -i + i,
             i * 7919 - 5 * (i % 3) * 10 ** 30,
             i % 5 == 0,
-            "flag *" if i % 11 == 0 else i / 7,
+            "flag *" if i % 11 == 0 else labels[i % 4] if i % 13 == 0 else i / 7,
             ODD_STRINGS[i % 8] if i // _BLOCK % 2 else f"s{i % 8}",
         )
 

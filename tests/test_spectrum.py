@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import mpmath
 import pytest
 from sympy import cyclotomic_poly, symbols, totient
 
-from zenochain import _exact, spectrum
+from zenochain import _exact, cli, spectrum
 from zenochain.apparatus import ApparatusConfig, gaps, simulate_intensity
 from zenochain.partitions import (
     COUNT_CAP,
@@ -396,9 +397,14 @@ def test_merged_row_keeps_its_place_among_interleaved_classes():
 @pytest.mark.parametrize("report", [quantum_spectrum(15), classical_spectrum(6, 0.5)],
                          ids=["quantum", "classical"])
 def test_trusted_classes_are_ordinary_instances(report):
-    # classes are built without __init__; they must not be told apart from
-    # ones that went through it
-    for cls in report.classes:
+    # classes are made without __init__ when they are read; they must not be
+    # told apart from ones that went through it, however they are read
+    classes = report.classes
+    as_tuple = tuple(classes)
+    assert type(as_tuple) is tuple and len(as_tuple) == len(classes)
+    read = [*classes, *classes[:], *(classes[i] for i in range(len(classes)))]
+    assert read == [*as_tuple] * 3
+    for cls in read:
         label = cls.label
         if isinstance(label, Partition):
             rebuilt_label = Partition(label.parts)
@@ -409,7 +415,99 @@ def test_trusted_classes_are_ordinary_instances(report):
         assert type(cls) is IntensityClass
         assert cls == rebuilt and hash(cls) == hash(rebuilt)
         assert repr(cls) == repr(rebuilt)
-    assert type(report.classes) is tuple
+
+
+COLUMNAR = {
+    "quantum": lambda: quantum_spectrum(15),  # one merge
+    "classical": lambda: classical_spectrum(6, 0.5),
+}
+
+
+@pytest.mark.parametrize("build", COLUMNAR.values(), ids=COLUMNAR.keys())
+def test_columnar_report_equals_the_tuple_built_one(build):
+    report = build()
+    built = SpectrumReport(
+        n=report.n, kind=report.kind, classes=tuple(report.classes),
+        entropy_bits=report.entropy_bits, bound_bits=report.bound_bits, merges=report.merges,
+    )
+    assert type(report.classes) is not tuple
+    assert report == built and built == report
+    assert not report != built and not built != report
+    assert report.classes == built.classes and built.classes == report.classes
+    assert hash(report) == hash(built) and hash(report.classes) == hash(built.classes)
+    assert repr(report) == repr(built) and repr(report.classes) == repr(built.classes)
+    assert report != quantum_spectrum(report.n + 1)
+    assert report.classes != list(built.classes)  # as a tuple is not equal to a list
+
+    thawed = pickle.loads(pickle.dumps(report))
+    assert thawed == report and thawed == built and built == thawed
+    assert type(thawed.classes) is type(report.classes)
+    assert repr(thawed) == repr(report)
+
+
+@pytest.mark.parametrize("build", COLUMNAR.values(), ids=COLUMNAR.keys())
+def test_columnar_classes_index_and_slice_like_a_tuple(build):
+    report = build()
+    classes, expected = report.classes, tuple(report.classes)
+    size = len(expected)
+    assert len(classes) == size
+    for i in (0, 1, size - 1, -1, -2, -size):
+        assert classes[i] == expected[i]
+    for i in (size, -size - 1, 10**6):
+        with pytest.raises(IndexError):
+            classes[i]
+    for cut in (slice(1, None), slice(None), slice(None, None, -2), slice(3, 1), slice(-3, None)):
+        assert type(classes[cut]) is tuple and classes[cut] == expected[cut]
+    # a report built by hand from a read class and a slice, as tests do
+    first = classes[0]
+    bright = IntensityClass(first.label, first.intensity, first.count, first.total)
+    rebuilt = SpectrumReport(n=report.n, kind=report.kind, classes=(bright,) + classes[1:],
+                             entropy_bits=report.entropy_bits, bound_bits=report.bound_bits)
+    assert reports_match(rebuilt, report) and reports_match(report, rebuilt)
+    assert expected[-1] in classes and classes.index(expected[-1]) == size - 1
+    assert classes.count(expected[0]) == 1
+    assert tuple(reversed(classes)) == expected[::-1]
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The classes of every object that ``_trusted`` or ``IntensityClass(...)``
+    makes during the test, in order."""
+    made = []
+    trusted = spectrum._trusted
+    post_init = IntensityClass.__post_init__
+
+    def recording(cls, size, **columns):
+        made.append(cls)
+        return trusted(cls, size, **columns)
+
+    def checked(self):
+        made.append(IntensityClass)
+        post_init(self)
+
+    monkeypatch.setattr(spectrum, "_trusted", recording)
+    monkeypatch.setattr(IntensityClass, "__post_init__", checked)
+    monkeypatch.setattr(spectrum, "_quantum_cache", {})
+    return made
+
+
+def test_spectra_readers_and_cli_make_no_class_objects(made, capsys):
+    reports = [quantum_spectrum(15), brute_force_spectrum(15), classical_spectrum(6, 0.5)]
+    information_series(1, 15)
+    for report in reports:
+        assert len(report.classes) > 0 and report.entropy_bits > 0.0
+        SpectrumReport(  # the count check
+            n=report.n, kind=report.kind, classes=report.classes,
+            entropy_bits=report.entropy_bits, bound_bits=report.bound_bits,
+        )
+    assert reports_match(reports[0], reports[1])
+    assert not reports_match(reports[0], reports[2])
+    for fmt in ("table", "csv", "json"):
+        assert cli.main(["spectrum", "--n", "30", "--format", fmt]) == 0
+    assert capsys.readouterr().out
+    assert made == []  # not a class, not a label
+    reports[0].classes[0]  # the spy does see a read
+    assert made == [Partition, IntensityClass]
 
 
 @pytest.fixture
@@ -435,16 +533,17 @@ BUILDS = {
 def test_collector_paused_during_build_and_restored(build, monkeypatch):
     monkeypatch.setattr(spectrum, "_quantum_cache", {})
     seen = []
-    trusted = spectrum._trusted
+    walk = spectrum._partition_profiles
 
-    def recording(*args, **columns):
-        seen.append(gc.isenabled())
-        return trusted(*args, **columns)
+    def recording(n, weights):
+        seen.append(gc.isenabled())  # as the walk starts
+        yield from walk(n, weights)
+        seen.append(gc.isenabled())  # after its last row
 
-    monkeypatch.setattr(spectrum, "_trusted", recording)
+    monkeypatch.setattr(spectrum, "_partition_profiles", recording)
     assert gc.isenabled()
     build()
-    assert seen and not any(seen)
+    assert len(seen) == 2 and not any(seen)
     assert gc.isenabled()
 
 
