@@ -84,8 +84,8 @@ def _render(
 
     The one renderer of every subcommand. Ints and strings print as ``str``,
     floats at ``out.precision`` significant digits (a number rounded the same
-    way in JSON), a partition as its tuple of parts, ``8+4+2+1`` (a list of
-    parts in JSON).
+    way in JSON), a partition as the bytes of its parts, ``8+4+2+1`` (a list
+    of parts in JSON).
     ``lead`` fields become ``# key=value`` lines in CSV and the leading keys
     in JSON. JSON lists the rows under ``key``, then each
     ``(name, headers, rows)`` table of ``tail``. ``footers`` are lines
@@ -103,13 +103,13 @@ def _render(
     def text(value: object) -> str:
         if isinstance(value, float):
             return fmt(value)
-        return "+".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        return "+".join(map(str, value)) if isinstance(value, bytes) else str(value)
 
     def json_text(value: object) -> str:
         if isinstance(value, float):
             value = float(fmt(value))
             return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-        if isinstance(value, tuple):
+        if isinstance(value, bytes):
             return "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
         if isinstance(value, str):
             return encode_basestring_ascii(value)
@@ -120,7 +120,7 @@ def _render(
     def convert(column: tuple[object, ...]) -> list[str]:
         kinds = set(map(type, column))
         kind = kinds.pop() if len(kinds) == 1 else None
-        if kind is tuple:
+        if kind is bytes:
             digit = _DIGITS.__getitem__ if max(map(itemgetter(0), column)) < len(_DIGITS) else str
             labels = map((",\n        " if as_json else "+").join,
                          map(map, itertools.repeat(digit), column))
@@ -215,7 +215,7 @@ def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> Iterator[s
 
     p = out.precision
     headers = ("label", "intensity", "count", "probability", "probability_float")
-    # Read from the columns, a partition label as its parts: no class object is made.
+    # Read from the columns, a partition label as the bytes of its parts: no class object is made.
     labels, intensities, counts = spectrum._columns(report.classes)
     rows = zip(labels, intensities, counts, map(f"{{}}/2^{report.n}".format, counts),
                map(truediv, counts, itertools.repeat(1 << report.n)))
@@ -233,7 +233,7 @@ def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> Iterator[s
     ]
     for kept, absorbed in report.merges:
         footers.append(f"merged {absorbed} into {kept} (same intensity)")
-    merges = [(kept.parts, absorbed.parts) for kept, absorbed in report.merges]
+    merges = [(bytes(kept.parts), bytes(absorbed.parts)) for kept, absorbed in report.merges]
     return _render(
         out, headers, rows, key="classes",
         lead=lead, tail=[("merges", ("into", "absorbed"), merges)], footers=footers,

@@ -136,11 +136,13 @@ def count_partitions(n: int) -> int:
 
 def _partition_profiles(
     n: int, weights: Sequence[float]
-) -> Iterator[tuple[float, tuple[int, ...], int]]:
+) -> Iterator[tuple[float, bytes, int]]:
     """Yield ``(product, parts, count)`` for every partition of ``n``.
 
-    ``parts`` is non-increasing and the sequence is reverse-lexicographic:
-    ``(n,)`` first, all ones last. ``count`` is the state count,
+    ``parts`` is the ``bytes`` of the non-increasing parts: every part of
+    n <= ENUMERATION_CAP fits in a byte, and bytes sort like the tuple of
+    their values. The sequence is reverse-lexicographic: ``(n,)`` first, all
+    ones last. ``count`` is the state count,
     2 m! / prod(multiplicity_j!) over the m parts. ``product`` is the product
     of ``weights[g]`` over the parts g, one multiply per part in the order of
     the parts, so it has the same bits as
@@ -155,9 +157,10 @@ def _partition_profiles(
     """
     fact = [math.factorial(i) for i in range(n + 1)]
     twice_fact = [2 * f for f in fact]
+    byte = [bytes((value,)) for value in range(n + 1)]
     one = weights[1]
     levels = []
-    product, parts, m, denom = 1.0, (), 0, 1
+    product, parts, m, denom = 1.0, b"", 0, 1
     value = rest = n
     while True:
         # Fill: the largest parts <= value that fit into rest, ones excepted.
@@ -172,13 +175,13 @@ def _partition_profiles(
                 products.append(running)
             levels.append((value, mult, products, product, parts, m, denom))
             product = running
-            parts += (value,) * mult
+            parts += byte[value] * mult
             m += mult
             denom *= fact[mult]
             value -= 1
         for _ in range(rest):
             product *= one
-        yield product, parts + (1,) * rest, twice_fact[m + rest] // (denom * fact[rest])
+        yield product, parts + byte[1] * rest, twice_fact[m + rest] // (denom * fact[rest])
         if not levels:
             return
         # Next partition: one copy of the last level's value joins the ones.
@@ -188,7 +191,7 @@ def _partition_profiles(
             mult -= 1
             levels.append((value, mult, products, product, parts, m, denom))
             product = products[mult - 1]
-            parts += (value,) * mult
+            parts += byte[value] * mult
             m += mult
             denom *= fact[mult]
         value -= 1
@@ -202,7 +205,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """
     n = _checked_size(n, 1, ENUMERATION_CAP, "enumerate_partitions")
     ones = [1.0] * (n + 1)
-    return (Partition._trusted(parts, n) for _, parts, _ in _partition_profiles(n, ones))
+    return (Partition._trusted(tuple(parts), n) for _, parts, _ in _partition_profiles(n, ones))
 
 
 def state_count(partition: Partition) -> int:

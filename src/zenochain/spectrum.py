@@ -24,21 +24,10 @@ tuple of its elements, with that tuple's hash and repr, and pickles.
 entropy, ``reports_match`` and the CLI read the columns and make no
 ``IntensityClass``. A report built from a tuple of classes, as by hand,
 works as before and compares equal to the columnar one.
-
-While ``quantum_spectrum`` walks the partitions and sorts the walk's rows,
-the cyclic garbage collector is paused: the build makes no reference
-cycles, so collecting during it frees nothing, yet its passes would walk
-the rows over and over, and every object the process holds now and then.
-The pause is process-wide (``gc`` has no per-thread switch). A concurrent
-build in another thread may turn the collector back on before this one
-ends; that costs speed only and never changes a result. A caller that has
-disabled the collector itself keeps it disabled. ``classical_spectrum`` has
-only n + 1 classes and does not pause it.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 from collections import Counter, deque
 from collections.abc import Sequence
@@ -107,8 +96,8 @@ _SUM_TOL = 1e-9
 _MERGE_WINDOW = 1e-10
 
 # Quantum reports are cached only at sizes where they are small: by
-# tracemalloc, a cached n = 32 report holds 1.7 MiB, an n = 64 one would hold
-# 414 MiB, most of it its 1.7 M parts tuples. Plain dict: worst case under
+# tracemalloc, a cached n = 32 report holds 1.1 MiB, an n = 64 one would hold
+# 214 MiB, 95 MiB of it its 1.7 M labels' bytes. Plain dict: worst case under
 # concurrent use is duplicated work, results are identical.
 _QUANTUM_CACHE_MAX_N = 32
 _quantum_cache: dict[int, "SpectrumReport"] = {}
@@ -166,13 +155,22 @@ class IntensityClass:
 _READ_BLOCK = 1024
 
 
+def _spelled(parts: Sequence[int]) -> bytes | tuple[int, ...]:
+    """A partition label as a label column keeps it: the ``bytes`` of its
+    parts, or their tuple when a part is 256 or more (only a report built by
+    hand, at n >= 256, has one)."""
+    return bytes(parts) if parts[0] < 256 else tuple(parts)
+
+
 class _ClassColumns(Sequence):
     """The ``classes`` of a built report: a read-only sequence over three
-    columns, one entry per class. A label is the parts tuple of a partition
-    of ``n`` (quantum) or an int k (classical).
+    columns, one entry per class. A label is the bytes of the parts of a
+    partition of ``n`` (quantum) or an int k (classical). Bytes sort like the
+    parts tuples, and the cyclic garbage collector does not track them. A
+    column given parts tuples keeps them as ``_spelled`` spells them.
 
     An element is an ordinary :class:`IntensityClass` (its label a
-    ``Partition`` when the column holds a parts tuple), made by ``_trusted``
+    ``Partition`` of a parts tuple when the column holds parts), made by ``_trusted``
     when it is read: an index gives one, a slice a tuple of them, iteration
     ``_READ_BLOCK`` at a time. None of them is kept. Equal to another such
     sequence with the same ``n`` and columns, and to the tuple of its
@@ -183,14 +181,16 @@ class _ClassColumns(Sequence):
 
     def __init__(self, n: int, labels: tuple, intensities: tuple[float, ...],
                  counts: tuple[int, ...]) -> None:
+        if labels and type(labels[0]) is tuple:  # as a pickle of tuple labels holds them
+            labels = tuple(map(_spelled, labels))
         self._n = n
         self._labels = labels
         self._intensities = intensities
         self._counts = counts
 
     def _objects(self, labels: tuple, intensities: tuple, counts: tuple) -> tuple:
-        if labels and type(labels[0]) is tuple:
-            labels = _trusted(Partition, len(labels), parts=labels, n=repeat(self._n))
+        if labels and type(labels[0]) is not int:
+            labels = _trusted(Partition, len(labels), parts=map(tuple, labels), n=repeat(self._n))
         return _trusted(
             IntensityClass, len(counts), label=labels, intensity=intensities,
             count=counts, total=repeat(1 << self._n),
@@ -230,11 +230,12 @@ class _ClassColumns(Sequence):
 
 def _columns(classes: Sequence[IntensityClass]) -> tuple[tuple, tuple, tuple]:
     """The label, intensity and count columns of ``classes``, a partition
-    label as its parts tuple: a columnar sequence's own, with no object
+    label spelled by ``_spelled``: a columnar sequence's own, with no object
     made, or read off the objects of any other sequence."""
     if isinstance(classes, _ClassColumns):
         return classes._labels, classes._intensities, classes._counts
-    labels = tuple(c.label.parts if isinstance(c.label, Partition) else c.label for c in classes)
+    labels = tuple(_spelled(c.label.parts) if isinstance(c.label, Partition) else c.label
+                   for c in classes)
     return labels, tuple(c.intensity for c in classes), tuple(c.count for c in classes)
 
 
@@ -297,11 +298,9 @@ def _mirrored(half: list, n: int) -> list:
     return half + half[n - len(half)::-1]
 
 
-def _partition_report(
-    n: int, rows: list[tuple[float, tuple[int, ...], int]]
-) -> SpectrumReport:
+def _partition_report(n: int, rows: list[tuple[float, bytes, int]]) -> SpectrumReport:
     """The one place a quantum class list is assembled, from one unsorted
-    ``(intensity, parts, count)`` row per partition of n.
+    ``(intensity, parts, count)`` row per partition of n, its parts as bytes.
 
     Every row is checked first (count in 1..2^n, intensity nonnegative and not
     NaN), before any object is built. Rows are then sorted brightest first.
@@ -340,9 +339,9 @@ def _partition_report(
             if len(indices) > 1:
                 members = sorted((rows[i] for i in indices), key=lambda m: (-m[0], m[1]))
                 label = min(m[1] for m in members)
-                kept = Partition._trusted(label, n)
+                kept = Partition._trusted(tuple(label), n)
                 merges.extend(
-                    (kept, Partition._trusted(m[1], n)) for m in members if m[1] != label
+                    (kept, Partition._trusted(tuple(m[1]), n)) for m in members if m[1] != label
                 )
                 rows[indices[0]] = (members[0][0], label, sum(m[2] for m in members))
                 for i in indices[1:]:
@@ -379,13 +378,7 @@ def quantum_spectrum(n: int) -> SpectrumReport:
     if cached is not None:
         return cached
 
-    enabled = gc.isenabled()  # see the module notes on the pause
-    gc.disable()
-    try:
-        report = _partition_report(n, list(_partition_profiles(n, _cos_sq(n))))
-    finally:
-        if enabled:
-            gc.enable()
+    report = _partition_report(n, list(_partition_profiles(n, _cos_sq(n))))
     if n <= _QUANTUM_CACHE_MAX_N:
         _quantum_cache[n] = report
     return report
@@ -426,9 +419,9 @@ def _config_blocks(n: int) -> Iterator[tuple[range, list[float], list[int]]]:
         yield range(first, 1 << n, 1 << head), list(map(mul, h, h)), keys
 
 
-def _key_parts(n: int, key: int) -> tuple[int, ...]:
-    """The gap multiset of a :func:`_config_blocks` key, as descending parts."""
-    return tuple(g for g in range(n, 0, -1) for _ in range(key // (n + 1) ** (g - 1) % (n + 1)))
+def _key_parts(n: int, key: int) -> bytes:
+    """The gap multiset of a :func:`_config_blocks` key, as the bytes of its descending parts."""
+    return bytes(g for g in range(n, 0, -1) for _ in range(key // (n + 1) ** (g - 1) % (n + 1)))
 
 
 def brute_force_spectrum(n: int) -> SpectrumReport:

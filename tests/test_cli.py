@@ -421,7 +421,7 @@ def reference_render(out, headers, rows, key="rows", lead=(), tail=(), footers=(
     spec = f".{out.precision}g"
 
     def text(value):
-        if isinstance(value, tuple):
+        if isinstance(value, bytes):
             return str(partitions.Partition(value))
         return format(value, spec) if isinstance(value, float) else str(value)
 
@@ -429,7 +429,7 @@ def reference_render(out, headers, rows, key="rows", lead=(), tail=(), footers=(
         if isinstance(value, float):
             value = float(format(value, spec))
             return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-        if isinstance(value, tuple):
+        if isinstance(value, bytes):
             return "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
         if isinstance(value, str):
             return encode_basestring_ascii(value)
@@ -463,12 +463,12 @@ def reference_render(out, headers, rows, key="rows", lead=(), tail=(), footers=(
 # in odd blocks only, so that even blocks take the paths that need neither.
 ODD_FLOATS = (0.1, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1 / 3, 1e300)
 ODD_STRINGS = ("a,b", 'say "x"', "two\nlines", f"pa{_SEP}cked", "\u00e9", "", " pad ", "cr\r")
-BIG = (65, 1)  # a part past the renderer's digit table
+BIG = bytes((65, 1))  # a part past the renderer's digit table
 
 
 def odd_rows(count):
-    # partitions are cells as their tuples of parts
-    labels = [(3,), (2, 1), (64, 64), (1,) * 9]
+    # partitions are cells as the bytes of their parts
+    labels = [bytes((3,)), bytes((2, 1)), bytes((64, 64)), bytes((1,) * 9)]
     for i in range(count):
         yield (
             labels[i % 4],
