@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import astuple, dataclass
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, truediv
+from operator import index, itemgetter, truediv
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -53,6 +53,7 @@ class OutputSpec:
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
+        object.__setattr__(self, "precision", index(self.precision))  # 6.0 and "6" raise TypeError
         if not MIN_PRECISION <= self.precision <= MAX_PRECISION:
             raise ValueError(
                 f"precision must lie in {MIN_PRECISION}..{MAX_PRECISION}, got {self.precision}"
@@ -63,8 +64,8 @@ def _fmt(x: float, precision: int) -> str:
     return f"{x:.{precision}g}"
 
 
-# Rows become text _BLOCK at a time, one C-level map per column: a Python call
-# per cell costs more than the formatting. _SEP joins a table block's column
+# Columns become text _BLOCK cells at a time, each by one C-level map: a Python
+# call per cell costs more than the formatting. _SEP joins a table block's column
 # until the widths are known. _DIGITS spells the parts of n <= ENUMERATION_CAP.
 _BLOCK = 1024
 _SEP = "\x1f"
@@ -74,50 +75,36 @@ _DIGITS = tuple(map(str, range(partitions.ENUMERATION_CAP + 1)))
 def _render(
     out: OutputSpec,
     headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
+    columns: Sequence[Iterable[object]],
     key: str = "rows",
     lead: Sequence[tuple[str, object]] = (),
-    tail: Sequence[tuple[str, Sequence[str], Iterable[Sequence[object]]]] = (),
+    tail: Sequence[tuple[str, Sequence[str], Sequence[Iterable[object]]]] = (),
     footers: Sequence[str] = (),
 ) -> Iterator[str]:
-    """Yield typed rows rendered in ``out.format``, in chunks of up to ``_BLOCK`` rows.
+    """Yield typed columns rendered in ``out.format``, in chunks of up to ``_BLOCK`` rows.
 
-    The one renderer of every subcommand. Ints and strings print as ``str``,
-    floats at ``out.precision`` significant digits (a number rounded the same
-    way in JSON), a partition as the bytes of its parts, ``8+4+2+1`` (a list
-    of parts in JSON).
+    The one renderer of every subcommand. ``columns`` holds one iterable per
+    header, and every cell of a column has one type, each with one converter:
+    ints and strings print as ``str``, floats at ``out.precision`` significant
+    digits (a number rounded the same way in JSON), a partition as the bytes
+    of its parts, ``8+4+2+1`` (a list of parts in JSON). A column of any other
+    type (a bool, say), or of more than one, raises ``TypeError``.
     ``lead`` fields become ``# key=value`` lines in CSV and the leading keys
-    in JSON. JSON lists the rows under ``key``, then each
-    ``(name, headers, rows)`` table of ``tail``. ``footers`` are lines
-    appended to the table format only.
+    in JSON, each value converted as a column of one cell. JSON lists the
+    rows under ``key``, then each ``(name, headers, columns)`` table of
+    ``tail``. ``footers`` are lines appended to the table format only.
 
     JSON has the layout and spellings of ``json.dumps(..., indent=2)`` of the
-    same document. Rows are read once; a block's column of one type is
-    converted by one map, any other cell by cell. CSV and JSON hold one block;
-    the table holds each block's columns as joined text until it knows the widths.
+    same document. Each column is read once, ``_BLOCK`` cells at a time, and
+    each block of it converted by one map. CSV and JSON hold one block; the
+    table holds each block's columns as joined text until it knows the widths.
     """
     spec = f".{out.precision}g"
     fmt = ("{:" + spec + "}").format  # format(x, spec) for a float x
     as_json = out.format == "json"
-
-    def text(value: object) -> str:
-        if isinstance(value, float):
-            return fmt(value)
-        return "+".join(map(str, value)) if isinstance(value, bytes) else str(value)
-
-    def json_text(value: object) -> str:
-        if isinstance(value, float):
-            value = float(fmt(value))
-            return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-        if isinstance(value, bytes):
-            return "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
-        if isinstance(value, str):
-            return encode_basestring_ascii(value)
-        return int.__repr__(value)
-
     by_kind = {float: fmt, int: int.__repr__, str: encode_basestring_ascii if as_json else str}
 
-    def convert(column: tuple[object, ...]) -> list[str]:
+    def convert(column: list[object]) -> list[str]:
         kinds = set(map(type, column))
         kind = kinds.pop() if len(kinds) == 1 else None
         if kind is bytes:
@@ -136,26 +123,34 @@ def _render(
             rounded = list(map(float, texts))
             finite = all(map(math.isfinite, rounded))
             return list(map(float.__repr__ if finite else json.dumps, rounded))
-        return list(map(by_kind.get(kind, json_text if as_json else text), column))
+        if kind not in by_kind:
+            names = sorted({type(cell).__name__ for cell in column})
+            raise TypeError(f"a column holds cells of one of bytes, float, int or str, got {names}")
+        return list(map(by_kind[kind], column))
 
-    def blocks(table: Iterable[Sequence[object]]) -> Iterator[list[list[str]]]:
-        table = iter(table)
-        while block := list(itertools.islice(table, _BLOCK)):
-            yield [convert(column) for column in zip(*block)]
+    def blocks(table: Sequence[Iterable[object]]) -> Iterator[list[list[str]]]:
+        table = list(map(iter, table))
+        first = None  # each column's type in its first block, which every block keeps
+        while (block := [list(itertools.islice(column, _BLOCK)) for column in table]) and block[0]:
+            texts = list(map(convert, block))
+            kinds = [type(column[0]) for column in block]
+            if kinds != (first := first or kinds):
+                raise TypeError(f"a column's cells change type: {first} then {kinds}")
+            yield texts
 
     if as_json:
         sep = "{\n  "
         for name, value in lead:
-            yield f"{sep}{encode_basestring_ascii(name)}: {json_text(value)}"
+            yield f"{sep}{encode_basestring_ascii(name)}: {convert([value])[0]}"
             sep = ",\n  "
-        for name, names, table in ((key, headers, rows), *tail):
+        for name, names, table in ((key, headers, columns), *tail):
             yield f"{sep}{encode_basestring_ascii(name)}: "
             fields = (encode_basestring_ascii(h).replace("{", "{{").replace("}", "}}")
                       for h in names)  # braces doubled for str.format
             record = ",".join(f"\n      {f}: {{}}" for f in fields).format
             sep = "[\n    {"
-            for columns in blocks(table):
-                yield sep + "\n    },\n    {".join(map(record, *columns))
+            for texts in blocks(table):
+                yield sep + "\n    },\n    {".join(map(record, *texts))
                 sep = "\n    },\n    {"
             yield "[]" if sep[0] == "[" else "\n    }\n  ]"
             sep = ",\n  "
@@ -163,34 +158,34 @@ def _render(
         return
     if out.format == "csv":
         for name, value in lead:
-            yield f"# {name}={text(value)}\n"
+            yield f"# {name}={convert([value])[0]}\n"
         pending: list[str] = []  # what the writer wrote for the rows in hand
         writer = csv.writer(SimpleNamespace(write=pending.append), lineterminator="\n")
         writer.writerow(headers)
         yield pending.pop()
-        for columns in blocks(rows):
-            body = "\n".join(map(",".join, zip(*columns))) + "\n"
+        for texts in blocks(columns):
+            body = "\n".join(map(",".join, zip(*texts))) + "\n"
             # csv quotes a cell holding ',', '"', '\r' or '\n', or a lone empty one. The
             # join wrote width - 1 commas and one newline per row; any more are a cell's.
-            if (len(columns) > 1 and '"' not in body and "\r" not in body
-                    and body.count(",") + body.count("\n") == len(columns) * len(columns[0])):
+            if (len(texts) > 1 and '"' not in body and "\r" not in body
+                    and body.count(",") + body.count("\n") == len(texts) * len(texts[0])):
                 yield body
                 continue
-            writer.writerows(zip(*columns))
+            writer.writerows(zip(*texts))
             yield "".join(pending)
             pending.clear()
         return
     widths = list(map(len, headers))
     held = []
-    for columns in blocks(rows):
-        widths = [max(w, *map(len, column)) for w, column in zip(widths, columns)]
+    for texts in blocks(columns):
+        widths = [max(w, *map(len, column)) for w, column in zip(widths, texts)]
         # Held joined only when the join's len(c) - 1 _SEP are all it holds: it splits back.
-        held.append([j if (j := _SEP.join(c)).count(_SEP) == len(c) - 1 else c for c in columns])
+        held.append([j if (j := _SEP.join(c)).count(_SEP) == len(c) - 1 else c for c in texts])
     line = "  ".join(f"{{:>{w}}}" for w in widths).format  # c.rjust(w) for each cell c
     yield line(*headers).rstrip() + "\n"
     for packed in held:
-        columns = [c.split(_SEP) if isinstance(c, str) else c for c in packed]
-        yield "\n".join(map(str.rstrip, map(line, *columns))) + "\n"
+        texts = [c.split(_SEP) if isinstance(c, str) else c for c in packed]
+        yield "\n".join(map(str.rstrip, map(line, *texts))) + "\n"
     for footer in footers:
         yield footer + "\n"
 
@@ -200,8 +195,8 @@ def cmd_partitions(n_max: int, out: OutputSpec) -> Iterator[str]:
     if n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {n_max}")
     partitions.count_partitions(n_max)  # the cap check, before any other work
-    rows = [(n, partitions.count_partitions(n)) for n in range(1, n_max + 1)]
-    return _render(out, ("n", "p_n"), rows)
+    ns = range(1, n_max + 1)
+    return _render(out, ("n", "p_n"), (ns, [partitions.count_partitions(n) for n in ns]))
 
 
 def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> Iterator[str]:
@@ -217,7 +212,7 @@ def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> Iterator[s
     headers = ("label", "intensity", "count", "probability", "probability_float")
     # Read from the columns, a partition label as the bytes of its parts: no class object is made.
     labels, intensities, counts = spectrum._columns(report.classes)
-    rows = zip(labels, intensities, counts, map(f"{{}}/2^{report.n}".format, counts),
+    columns = (labels, intensities, counts, map(f"{{}}/2^{report.n}".format, counts),
                map(truediv, counts, itertools.repeat(1 << report.n)))
     lead = [
         ("n", report.n),
@@ -233,9 +228,10 @@ def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> Iterator[s
     ]
     for kept, absorbed in report.merges:
         footers.append(f"merged {absorbed} into {kept} (same intensity)")
-    merges = [(bytes(kept.parts), bytes(absorbed.parts)) for kept, absorbed in report.merges]
+    merges = ([bytes(kept.parts) for kept, _ in report.merges],
+              [bytes(absorbed.parts) for _, absorbed in report.merges])
     return _render(
-        out, headers, rows, key="classes",
+        out, headers, columns, key="classes",
         lead=lead, tail=[("merges", ("into", "absorbed"), merges)], footers=footers,
     )
 
@@ -252,7 +248,7 @@ def cmd_compare(n_min: int, n_max: int, out: OutputSpec) -> Iterator[str]:
         "quantum_classical_ratio",
     )
     # InformationPoint's fields are in the header order
-    return _render(out, headers, map(astuple, points))
+    return _render(out, headers, tuple(zip(*map(astuple, points))))
 
 
 def cmd_zeno(ns: Sequence[int], out: OutputSpec) -> Iterator[str]:
@@ -264,12 +260,13 @@ def cmd_zeno(ns: Sequence[int], out: OutputSpec) -> Iterator[str]:
     """
     if not ns:
         raise ValueError("at least one n is required")
-    rows = [(n, apparatus.zeno_survival(n), 1.0 - math.pi * math.pi / (4.0 * n)) for n in ns]
+    survival = [apparatus.zeno_survival(n) for n in ns]  # checks each n before the bound
+    bounds = [1.0 - math.pi * math.pi / (4.0 * n) for n in ns]
     footers = []
-    if out.format == "table" and min(ns) < 2:
-        rows = [(n, s, f"{_fmt(b, out.precision)} *" if n < 2 else b) for n, s, b in rows]
+    if out.format == "table" and min(ns) < 2:  # one str column, each float as the table spells it
+        bounds = [_fmt(b, out.precision) + (" *" if n < 2 else "") for n, b in zip(ns, bounds)]
         footers.append("* bound applies for n >= 2 only")
-    return _render(out, ("n", "survival", "lower_bound"), rows, footers=footers)
+    return _render(out, ("n", "survival", "lower_bound"), (ns, survival, bounds), footers=footers)
 
 
 _TABLE_PN = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42)

@@ -197,6 +197,15 @@ def test_zeno_table_flags_small_n():
     assert "*" not in clean
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_zeno_checks_n_before_its_bound(fmt, capsys):
+    # 1 - pi^2/(4n) at n = 0 would divide by zero; zeno_survival refuses n = 0 first
+    assert main(["zeno", "--n", "2", "0", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be >= 1, got 0\n"
+
+
 def test_cli_exit_codes(capsys, tmp_path):
     assert main(["partitions", "--n-max", "6"]) == 0
     capsys.readouterr()
@@ -406,14 +415,19 @@ def test_render_json_spells_values_as_json_does():
     # values no subcommand emits today: non-finite floats, a non-ASCII string,
     # an empty tail table
     rows = [(1, math.nan, 'a\u00e9"'), (2, math.inf, "x"), (3, -math.inf, "y"), (4, 1e-320, "z")]
-    text = "".join(_render(JSON, ("n", "v", "s"), rows, lead=[("k", 0.1)],
-                           tail=[("empty", ("a",), [])]))
+    text = "".join(_render(JSON, ("n", "v", "s"), columns(rows, 3), lead=[("k", 0.1)],
+                           tail=[("empty", ("a",), columns([], 1))]))
     payload = {
         "k": 0.1,
         "rows": [{"n": n, "v": float(f"{v:.6g}"), "s": s} for n, v, s in rows],
         "empty": [],
     }
     assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def columns(rows, width):
+    """The renderer's input for ``rows``: one tuple per header, empty ones for no rows."""
+    return list(zip(*rows)) or [()] * width
 
 
 def reference_render(out, headers, rows, key="rows", lead=(), tail=(), footers=()):
@@ -457,9 +471,9 @@ def reference_render(out, headers, rows, key="rows", lead=(), tail=(), footers=(
     return "".join(line.rstrip() + "\n" for line in lines) + "".join(f + "\n" for f in footers)
 
 
-# Cell values the subcommands emit and some they never do. Each column of a
-# block runs one converter, or the per-cell one when its cells differ in type.
-# The strings that csv must quote, or that hold the table's separator, come
+# Cell values the subcommands emit and some they never do, one type per
+# column: each column of a block runs the one converter of its type. The
+# strings that csv must quote, or that hold the table's separator, come
 # in odd blocks only, so that even blocks take the paths that need neither.
 ODD_FLOATS = (0.1, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1 / 3, 1e300)
 ODD_STRINGS = ("a,b", 'say "x"', "two\nlines", f"pa{_SEP}cked", "\u00e9", "", " pad ", "cr\r")
@@ -476,8 +490,6 @@ def odd_rows(count):
             ODD_FLOATS[i % 9],
             2.0 ** -i + i,
             i * 7919 - 5 * (i % 3) * 10 ** 30,
-            i % 5 == 0,
-            "flag *" if i % 11 == 0 else labels[i % 4] if i % 13 == 0 else i / 7,
             ODD_STRINGS[i % 8] if i // _BLOCK % 2 else f"s{i % 8}",
         )
 
@@ -487,15 +499,47 @@ def odd_rows(count):
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_render_matches_per_cell_reference(fmt, precision, count):
     out = OutputSpec(format=fmt, precision=precision)
-    headers = ("label", "big{0}", "odd", "float", "int", "bool", "mixed", "text")
-    args = dict(
-        key="rows",
-        lead=[("n", 5), ("x", math.nan), ("s", "a,b")],
-        tail=[("empty", ("a",), []), ("more", ("s", "v"), [("q", 1.5), ("r", math.inf)])],
-        footers=["end = 1"],
-    )
-    text = "".join(_render(out, headers, odd_rows(count), **args))
-    assert text == reference_render(out, headers, odd_rows(count), **args)
+    headers = ("label", "big{0}", "odd", "float", "int", "text")
+    more = [("q", 1.5), ("r", math.inf)]
+    args = dict(key="rows", lead=[("n", 5), ("x", math.nan), ("s", "a,b")], footers=["end = 1"])
+    tail = [("empty", ("a",), columns([], 1)), ("more", ("s", "v"), columns(more, 2))]
+    text = "".join(_render(out, headers, columns(odd_rows(count), len(headers)), **args, tail=tail))
+    assert text == reference_render(out, headers, odd_rows(count), **args,
+                                    tail=[("empty", ("a",), []), ("more", ("s", "v"), more)])
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_render_rejects_a_column_of_mixed_or_unknown_type(fmt):
+    # no subcommand emits a bool or mixes types in a column; the renderer has
+    # one converter per type and refuses both, a mixed column also when its
+    # str cell is alone in a later block
+    out = OutputSpec(format=fmt)
+    floats = [i / 7 for i in range(2 * _BLOCK)]
+    for mixed in (floats[:3] + ["flag *"] + floats[4:], floats[:_BLOCK] + ["flag *"]):
+        with pytest.raises(TypeError):
+            "".join(_render(out, ("n", "v"), (range(len(mixed)), mixed)))
+    with pytest.raises(TypeError):
+        "".join(_render(out, ("n", "b"), (range(5), [i % 2 == 0 for i in range(5)])))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_streams_each_column_a_block_at_a_time(fmt):
+    size = 3 * _BLOCK + 1
+    read = [0, 0, 0]
+
+    def counted(j, cells):
+        for cell in cells:
+            read[j] += 1
+            yield cell
+
+    cells = (range(size), map(float, range(size)), map(str, range(size)))
+    chunks = _render(OutputSpec(format=fmt), ("n", "v", "s"), list(map(counted, range(3), cells)))
+    next(chunks)  # the csv header line, or json's opening key
+    first = next(chunks)
+    assert first.count('"n": ' if fmt == "json" else "\n") == _BLOCK
+    assert max(read) <= _BLOCK
+    "".join(chunks)
+    assert read == [size] * 3
 
 
 @pytest.mark.parametrize("cell", [",", '"', "\r", "\n", ""])
@@ -503,7 +547,7 @@ def test_render_matches_per_cell_reference(fmt, precision, count):
 def test_render_csv_quotes_what_csv_quotes(headers, cell):
     # one cell csv must quote (an empty one only as a row's lone cell), among plain ones
     rows = [tuple(f"{cell}{j}" if cell else "" for j in range(len(headers))), ("a",) * len(headers)]
-    text = "".join(_render(CSV, headers, rows))
+    text = "".join(_render(CSV, headers, columns(rows, len(headers))))
     assert text == reference_render(CSV, headers, rows)
 
 
@@ -514,7 +558,7 @@ def test_render_json_floats_as_json_does(precision, value):
     # exponent, subnormal, more digits than a float holds), among plain ones
     out = OutputSpec(format="json", precision=precision)
     rows = [(value,), (0.25,), (1.5e-5,)]
-    assert "".join(_render(out, ("v",), rows)) == reference_render(out, ("v",), rows)
+    assert "".join(_render(out, ("v",), columns(rows, 1))) == reference_render(out, ("v",), rows)
 
 
 def test_render_table_holds_no_cells(monkeypatch):
@@ -594,6 +638,15 @@ def test_output_spec_validation():
         OutputSpec(precision=0)
     with pytest.raises(ValueError):
         OutputSpec(precision=18)
+
+
+def test_output_spec_takes_an_integer_precision():
+    # a float or a string precision once passed here and failed mid-render
+    for precision in (6.0, 6.5, "6"):
+        with pytest.raises(TypeError):
+            OutputSpec(format="csv", precision=precision)
+    spec = OutputSpec(format="csv", precision=True)
+    assert spec.precision == 1 and type(spec.precision) is int
 
 
 def test_cmd_verify_text_is_line_per_check():

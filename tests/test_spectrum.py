@@ -545,17 +545,17 @@ def collector_off():
             gc.enable()
 
 
-# The builds whose collector state the tests below check; the quantum cache
-# is emptied so that n = 15 builds.
+# Builds that must leave the collector as the caller set it; the quantum
+# cache is emptied so that n = 15 really builds.
 BUILDS = {
     "quantum": lambda: quantum_spectrum(15),
 }
 
 
 def test_quantum_build_leaves_the_collector_nothing_to_track():
-    # why the build runs with the collector on: a label is the bytes of its
-    # parts, which the collector does not track (every part fits in a byte),
-    # so p(40) = 37,338 classes add a handful of tracked objects, not one each
+    # a label is the bytes of its parts, which the collector does not track
+    # (every part fits in a byte), so p(40) = 37,338 classes add a handful of
+    # tracked objects, not one each
     assert ENUMERATION_CAP < 256
     assert gc.isenabled()
     gc.collect()
@@ -584,7 +584,8 @@ def test_collector_restored_when_build_raises(monkeypatch):
 
 
 def test_builds_make_no_reference_cycles(monkeypatch, collector_off):
-    # the premise of the pause: collecting during a build could free nothing
+    # a build and its dropped report leave no reference cycle: a collection
+    # right after either frees nothing
     monkeypatch.setattr(spectrum, "_quantum_cache", {})
     for build in (lambda: quantum_spectrum(15), lambda: quantum_spectrum(38),
                   lambda: classical_spectrum(10_000, 0.5)):
