@@ -15,11 +15,14 @@ is reported, so downstream consumers never see two classes an instrument
 could not tell apart, and never lose two it could.
 
 A report's ``classes`` is a read-only sequence, not a tuple: it keeps three
-columns (labels, intensities, counts) and makes an ordinary
-``IntensityClass`` only when an element is read. It supports ``len``,
-indexing (negative indices too), slicing (which gives a tuple), iteration,
-``in``, ``index``, ``count`` and ``reversed``; it compares equal to the
-tuple of its elements, with that tuple's hash and repr, and pickles.
+columns and makes an ordinary ``IntensityClass`` only when an element is
+read. The labels are a tuple (of bytes, see ``_ClassColumns``), the
+intensities one ``array('d')`` of raw doubles, and the counts a tuple that
+holds one int object per distinct count, shared by every class with that
+count (8,341 distinct among the 1,741,630 classes of n = 64). It supports
+``len``, indexing (negative indices too), slicing (which gives a tuple),
+iteration, ``in``, ``index``, ``count`` and ``reversed``; it compares equal
+to the tuple of its elements, with that tuple's hash and repr, and pickles.
 ``tuple(report.classes)`` gives a real tuple. The count check, the
 entropy, ``reports_match`` and the CLI read the columns and make no
 ``IntensityClass``. A report built from a tuple of classes, as by hand,
@@ -29,6 +32,7 @@ works as before and compares equal to the columnar one.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -96,9 +100,11 @@ _SUM_TOL = 1e-9
 _MERGE_WINDOW = 1e-10
 
 # Quantum reports are cached only at sizes where they are small: by
-# tracemalloc, a cached n = 32 report holds 1.1 MiB, an n = 64 one would hold
-# 214 MiB, 95 MiB of it its 1.7 M labels' bytes. Plain dict: worst case under
-# concurrent use is duplicated work, results are identical.
+# tracemalloc, a cached n = 32 report holds 0.7 MiB, an n = 64 one would hold
+# 122 MiB, 95 MiB of it its 1.7 M labels' bytes (the intensity array and the
+# count column's pointers 13 MiB each; its 8,341 distinct count objects are
+# shared by all its classes). Plain dict: worst case under concurrent use is
+# duplicated work, results are identical.
 _QUANTUM_CACHE_MAX_N = 32
 _quantum_cache: dict[int, "SpectrumReport"] = {}
 
@@ -167,7 +173,11 @@ class _ClassColumns(Sequence):
     columns, one entry per class. A label is the bytes of the parts of a
     partition of ``n`` (quantum) or an int k (classical). Bytes sort like the
     parts tuples, and the cyclic garbage collector does not track them. A
-    column given parts tuples keeps them as ``_spelled`` spells them.
+    column given parts tuples keeps them as ``_spelled`` spells them. The
+    intensities are an ``array('d')``, 8 bytes a class, and the counts a
+    tuple sharing one int object per distinct count (see ``_count_column``).
+    A tuple of intensities, as a pickle holds them, becomes an array, its
+    counts shared the same way.
 
     An element is an ordinary :class:`IntensityClass` (its label a
     ``Partition`` of a parts tuple when the column holds parts), made by ``_trusted``
@@ -179,16 +189,19 @@ class _ClassColumns(Sequence):
 
     __slots__ = ("_n", "_labels", "_intensities", "_counts")
 
-    def __init__(self, n: int, labels: tuple, intensities: tuple[float, ...],
+    def __init__(self, n: int, labels: tuple, intensities: array | tuple[float, ...],
                  counts: tuple[int, ...]) -> None:
         if labels and type(labels[0]) is tuple:  # as a pickle of tuple labels holds them
             labels = tuple(map(_spelled, labels))
+        if type(intensities) is not array:
+            intensities = array("d", intensities)
+            counts = _count_column(counts, n)[0]
         self._n = n
         self._labels = labels
         self._intensities = intensities
         self._counts = counts
 
-    def _objects(self, labels: tuple, intensities: tuple, counts: tuple) -> tuple:
+    def _objects(self, labels: tuple, intensities: Sequence[float], counts: tuple) -> tuple:
         if labels and type(labels[0]) is not int:
             labels = _trusted(Partition, len(labels), parts=map(tuple, labels), n=repeat(self._n))
         return _trusted(
@@ -225,13 +238,17 @@ class _ClassColumns(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self) -> tuple:
-        return _ClassColumns, (self._n, self._labels, self._intensities, self._counts)
+        # Intensities pickle as a tuple, as they did before the array: every
+        # version loads the pickle, and loading makes the array and shares
+        # the counts again (unpickling makes one int object per row).
+        return _ClassColumns, (self._n, self._labels, tuple(self._intensities), self._counts)
 
 
-def _columns(classes: Sequence[IntensityClass]) -> tuple[tuple, tuple, tuple]:
+def _columns(classes: Sequence[IntensityClass]) -> tuple[tuple, Sequence[float], tuple]:
     """The label, intensity and count columns of ``classes``, a partition
-    label spelled by ``_spelled``: a columnar sequence's own, with no object
-    made, or read off the objects of any other sequence."""
+    label spelled by ``_spelled``: a columnar sequence's own (its intensities
+    an array), with no object made, or read off the objects of any other
+    sequence (as tuples)."""
     if isinstance(classes, _ClassColumns):
         return classes._labels, classes._intensities, classes._counts
     labels = tuple(_spelled(c.label.parts) if isinstance(c.label, Partition) else c.label
@@ -293,6 +310,20 @@ def _entropy_terms(counts: Iterable[int], n: int) -> Iterator[float]:
     return ((c / total) * (n - math.log2(c)) for c in counts)
 
 
+def _count_column(counts: Sequence[int], n: int) -> tuple[tuple[int, ...], float]:
+    """``counts`` as a report's count column, and the entropy of its classes.
+
+    The column holds one int object per distinct count, the first of its
+    equals: a class costs a pointer, not an int. Each distinct count's entropy
+    term is computed once and ``fsum`` reads it once per class, so it adds the
+    same floats a per-class sum adds and gives the same bits.
+    """
+    distinct: dict[int, int] = {}
+    column = tuple(map(distinct.setdefault, counts, counts))
+    terms = dict(zip(distinct, _entropy_terms(distinct, n)))
+    return column, math.fsum(map(terms.__getitem__, column))
+
+
 def _mirrored(half: list, n: int) -> list:
     """Entries 0..n of a row symmetric under k -> n - k, from entries 0..n // 2."""
     return half + half[n - len(half)::-1]
@@ -314,6 +345,8 @@ def _partition_report(n: int, rows: list[tuple[float, bytes, int]]) -> SpectrumR
     never depends on which member's float happens to round higher; ``merges``
     lists the other members brightest first. The sorted rows become the
     three columns of the report's ``classes``: no ``IntensityClass`` is made.
+    The intensities go into one ``array('d')``, the counts through
+    ``_count_column``, which also gives the entropy.
     """
     total = 1 << n
     for intensity, _, count in rows:
@@ -349,14 +382,13 @@ def _partition_report(n: int, rows: list[tuple[float, bytes, int]]) -> SpectrumR
         if merges:
             rows = [row for row in rows if row is not None]
 
-    counts = tuple(map(itemgetter(2), rows))
+    counts, entropy_bits = _count_column(list(map(itemgetter(2), rows)), n)
+    intensities = array("d", list(map(itemgetter(0), rows)))  # faster than from the iterator
     return SpectrumReport(
         n=n,
         kind="quantum",
-        classes=_ClassColumns(
-            n, tuple(map(itemgetter(1), rows)), tuple(map(itemgetter(0), rows)), counts
-        ),
-        entropy_bits=math.fsum(_entropy_terms(counts, n)),
+        classes=_ClassColumns(n, tuple(map(itemgetter(1), rows)), intensities, counts),
+        entropy_bits=entropy_bits,
         bound_bits=asymptotic_log2_p(n),
         merges=tuple(merges),
     )
@@ -465,20 +497,21 @@ def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:
     n = _checked_size(n, 1, CLASSICAL_CAP, "classical_spectrum")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    alpha = float(alpha)  # a Fraction or Decimal alpha still gives float intensities
     half = [1]  # C(n, k) for k <= n // 2, advanced incrementally along Pascal's row
     for k in range(n // 2):
         half.append(half[-1] * (n - k) // (k + 1))
     # C(n, k) = C(n, n - k), and so are the entropy terms; fsum is exactly
-    # rounded, so mirrored terms give the bits of the full row's terms.
+    # rounded, so mirrored terms give the bits of the full row's terms. The
+    # mirrored row holds one int object per distinct count, as _count_column's
+    # does, without hashing counts of up to n bits.
     binomials = tuple(_mirrored(half, n))
+    intensities = array("d", [alpha ** k for k in range(n + 1)])
     # alpha in (0, 1) and every C(n, k) >= 1: valid by construction
-    classes = _ClassColumns(
-        n, tuple(range(n + 1)), tuple(alpha ** k for k in range(n + 1)), binomials
-    )
     return SpectrumReport(
         n=n,
         kind="classical",
-        classes=classes,
+        classes=_ClassColumns(n, tuple(range(n + 1)), intensities, binomials),
         entropy_bits=math.fsum(_mirrored(list(_entropy_terms(half, n)), n)),
         bound_bits=math.log2(n + 1),
     )

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -140,6 +142,14 @@ def test_spectrum_classical():
     text = "".join(cmd_spectrum(3, "classical", 0.25, CSV))
     _, _, rows = parse_csv(text)
     assert [row[1] for row in rows] == ["1", "0.25", "0.0625", "0.015625"]
+
+
+@pytest.mark.parametrize("out", [TABLE, CSV, JSON], ids=lambda out: out.format)
+def test_spectrum_classical_takes_an_exact_alpha(out):
+    # a Fraction or Decimal alpha gives the float intensities, so the bytes, of 0.5
+    expected = "".join(cmd_spectrum(3, "classical", 0.5, out))
+    for alpha in (Fraction(1, 2), Decimal("0.5")):
+        assert "".join(cmd_spectrum(3, "classical", alpha, out)) == expected
 
 
 def test_spectrum_precision_flag():

@@ -5,6 +5,8 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from array import array
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -441,7 +443,7 @@ def test_columnar_report_equals_the_tuple_built_one(build):
 
     thawed = pickle.loads(pickle.dumps(report))
     assert thawed == report and thawed == built and built == thawed
-    assert type(thawed.classes) is type(report.classes)
+    assert type(thawed.classes) is type(report.classes) and _compact(thawed.classes)
     assert repr(thawed) == repr(report)
 
 
@@ -478,18 +480,83 @@ def test_report_built_by_hand_past_a_byte():
     assert r.classes[0].label.parts == (300,)
 
 
+class _OldColumns:
+    """Pickles as a ``_ClassColumns`` of the given columns, whatever their types."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __reduce__(self):
+        return spectrum._ClassColumns, self.columns
+
+
 def test_columns_of_parts_tuples_equal_the_bytes_ones():
-    # as a report pickled while labels were parts tuples loads its classes
-    report = quantum_spectrum(15)
-    labels, intensities, counts = spectrum._columns(report.classes)
-    assert type(labels[0]) is bytes
-    old = spectrum._ClassColumns(15, tuple(map(tuple, labels)), intensities, counts)
-    assert old == report.classes and report.classes == old
-    assert tuple(old) == tuple(report.classes)
-    assert type(old[0].label.parts) is tuple
-    thawed = SpectrumReport(n=15, kind="quantum", classes=old, entropy_bits=report.entropy_bits,
-                            bound_bits=report.bound_bits, merges=report.merges)
-    assert thawed == report and reports_match(thawed, report)
+    # as a report pickled while labels were parts tuples, intensities a tuple
+    # of floats and every count an int of its own (unpickling makes one per
+    # row) loads its classes: equal both ways, and held as a fresh report's
+    for report in (quantum_spectrum(15), classical_spectrum(12, 0.5)):
+        labels, intensities, counts = spectrum._columns(report.classes)
+        if report.kind == "quantum":
+            assert type(labels[0]) is bytes
+            labels = tuple(map(tuple, labels))
+        pickled = pickle.dumps(_OldColumns(report.n, labels, tuple(intensities), counts))
+        fresh = pickle.loads(pickle.dumps(counts))  # the counts as unpickling makes them
+        assert len(set(map(id, fresh))) > len(set(fresh))
+        old = pickle.loads(pickled)
+        assert type(old) is spectrum._ClassColumns
+        assert old == report.classes and report.classes == old
+        assert tuple(old) == tuple(report.classes)
+        assert hash(old) == hash(report.classes) and repr(old) == repr(report.classes)
+        assert _compact(old) and spectrum._columns(old)[1] == intensities
+        if report.kind == "quantum":
+            assert type(old[0].label.parts) is tuple
+        thawed = SpectrumReport(n=report.n, kind=report.kind, classes=old,
+                                entropy_bits=report.entropy_bits, bound_bits=report.bound_bits,
+                                merges=report.merges)
+        assert thawed == report and report == thawed
+        assert hash(thawed) == hash(report) and repr(thawed) == repr(report)
+        assert reports_match(thawed, report) and reports_match(report, thawed)
+
+
+def _held(build):
+    """A report of ``build`` and the bytes it holds, by tracemalloc: a first
+    build fills the memoized tables, a second is measured."""
+    build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = build()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return report, held
+
+
+def _compact(columns):
+    """Whether ``columns`` keep their intensities in an array and one int object per distinct count."""
+    _, intensities, counts = spectrum._columns(columns)
+    return type(intensities) is array and len(set(map(id, counts))) == len(set(counts))
+
+
+def test_quantum_report_holds_its_columns_compactly():
+    # about 73 bytes a class: a label's bytes, two pointers and a double; 126
+    # while each intensity was a float object and each count an int of its own
+    report, held = _held(lambda: quantum_spectrum(40))
+    assert len(report.classes) == count_partitions(40)
+    assert _compact(report.classes)
+    assert held <= 90 * len(report.classes), held / len(report.classes)
+
+
+def test_classical_report_holds_its_columns_compactly():
+    # a count C(1000, k) is itself an int of up to 995 bits, which the column
+    # must hold once per distinct value; beyond those values a class holds
+    # about 52 bytes, 76 while each intensity was a float object
+    report, held = _held(lambda: classical_spectrum(1000))
+    counts = spectrum._columns(report.classes)[2]
+    assert _compact(report.classes)
+    values = sum(map(sys.getsizeof, set(counts)))
+    assert held - values <= 60 * len(counts), (held - values) / len(counts)
 
 
 @pytest.fixture
@@ -770,6 +837,15 @@ def test_classical_entropy_ignores_alpha():
     # attenuation moves the intensities, never the class structure
     entropies = {classical_spectrum(16, a).entropy_bits for a in (0.1, 0.5, 0.9)}
     assert len(entropies) == 1
+
+
+def test_classical_intensities_are_floats_for_an_exact_alpha():
+    expected = classical_spectrum(12, 0.5)
+    for alpha in (Fraction(1, 2), Decimal("0.5")):
+        report = classical_spectrum(12, alpha)
+        assert all(type(c.intensity) is float for c in report.classes)
+        assert report == expected and repr(report) == repr(expected)
+        assert reports_match(report, expected, intensity_tol=0.0)
 
 
 def test_classical_alpha_validation():
