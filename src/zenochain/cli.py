@@ -14,6 +14,7 @@ writing the output failed, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import itertools
 import json
@@ -66,7 +67,8 @@ def _fmt(x: float, precision: int) -> str:
 
 # Columns become text _BLOCK cells at a time, each by one C-level map: a Python
 # call per cell costs more than the formatting. _SEP joins a table block's column
-# until the widths are known. _DIGITS spells the parts of n <= ENUMERATION_CAP.
+# until the widths are known, and ends each label of a block of partitions decoded
+# as one text. _DIGITS spells the parts of n <= ENUMERATION_CAP.
 _BLOCK = 1024
 _SEP = "\x1f"
 _DIGITS = tuple(map(str, range(partitions.ENUMERATION_CAP + 1)))
@@ -103,14 +105,19 @@ def _render(
     fmt = ("{:" + spec + "}").format  # format(x, spec) for a float x
     as_json = out.format == "json"
     by_kind = {float: fmt, int: int.__repr__, str: encode_basestring_ascii if as_json else str}
+    glue = ",\n        " if as_json else "+"  # between a partition's parts
+    spell = (_SEP, *(glue + digits for digits in _DIGITS[1:]))  # a part's byte, or a label's end
 
     def convert(column: list[object]) -> list[str]:
         kinds = set(map(type, column))
         kind = kinds.pop() if len(kinds) == 1 else None
         if kind is bytes:
-            digit = _DIGITS.__getitem__ if max(map(itemgetter(0), column)) < len(_DIGITS) else str
-            labels = map((",\n        " if as_json else "+").join,
-                         map(map, itertools.repeat(digit), column))
+            if max(map(itemgetter(0), column)) < len(_DIGITS):
+                # one decode spells the block; every label then starts with the glue
+                text = codecs.charmap_decode(b"\0".join(column), "strict", spell)[0]
+                labels = text[len(glue):].split(_SEP + glue)
+            else:
+                labels = map(glue.join, map(map, itertools.repeat(str), column))
             return list(map("[\n        {}\n      ]".format, labels) if as_json else labels)
         if kind is float and as_json:
             texts = list(map(fmt, column))

@@ -16,13 +16,14 @@ could not tell apart, and never lose two it could.
 
 A report's ``classes`` is a read-only sequence, not a tuple: it keeps three
 columns and makes an ordinary ``IntensityClass`` only when an element is
-read. The labels are a tuple (of bytes, see ``_ClassColumns``), the
-intensities one ``array('d')`` of raw doubles, and the counts a tuple that
-holds one int object per distinct count, shared by every class with that
-count (8,341 distinct among the 1,741,630 classes of n = 64). It supports
-``len``, indexing (negative indices too), slicing (which gives a tuple),
-iteration, ``in``, ``index``, ``count`` and ``reversed``; it compares equal
-to the tuple of its elements, with that tuple's hash and repr, and pickles.
+read. The partition labels are packed into one ``bytes`` buffer (see
+``_PackedLabels``), the intensities are one ``array('d')`` of raw doubles,
+and the counts a tuple that holds one int object per distinct count, shared
+by every class with that count (8,341 distinct among the 1,741,630 classes
+of n = 64): about 33 bytes a class in all. It supports ``len``, indexing
+(negative indices too), slicing (which gives a tuple), iteration, ``in``,
+``index``, ``count`` and ``reversed``; it compares equal to the tuple of its
+elements, with that tuple's hash and repr, and pickles.
 ``tuple(report.classes)`` gives a real tuple. The count check, the
 entropy, ``reports_match`` and the CLI read the columns and make no
 ``IntensityClass``. A report built from a tuple of classes, as by hand,
@@ -36,7 +37,7 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, filterfalse, repeat
+from itertools import accumulate, chain, filterfalse, islice, repeat
 from operator import add, index, itemgetter, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -100,9 +101,9 @@ _SUM_TOL = 1e-9
 _MERGE_WINDOW = 1e-10
 
 # Quantum reports are cached only at sizes where they are small: by
-# tracemalloc, a cached n = 32 report holds 0.7 MiB, an n = 64 one would hold
-# 122 MiB, 95 MiB of it its 1.7 M labels' bytes (the intensity array and the
-# count column's pointers 13 MiB each; its 8,341 distinct count objects are
+# tracemalloc, a cached n = 32 report holds 0.36 MiB, an n = 64 one would hold
+# 55.6 MiB: its 1.7 M labels packed in 28.6 MiB, the intensity array and the
+# count column's pointers 13.3 MiB each (its 8,341 distinct count objects are
 # shared by all its classes). Plain dict: worst case under concurrent use is
 # duplicated work, results are identical.
 _QUANTUM_CACHE_MAX_N = 32
@@ -157,42 +158,105 @@ class IntensityClass:
         return self.count / self.total
 
 
-# Iteration makes the classes of this many rows at a time.
+# Iteration makes the classes of this many rows at a time, and a packed label
+# column keeps the buffer offset of every label this many apart.
 _READ_BLOCK = 1024
 
 
 def _spelled(parts: Sequence[int]) -> bytes | tuple[int, ...]:
-    """A partition label as a label column keeps it: the ``bytes`` of its
-    parts, or their tuple when a part is 256 or more (only a report built by
-    hand, at n >= 256, has one)."""
+    """A partition label as ``_columns`` reads it off a class: the ``bytes``
+    of its parts, or their tuple when a part is 256 or more (only a report
+    built by hand, at n >= 256, has one; no packed column can hold it)."""
     return bytes(parts) if parts[0] < 256 else tuple(parts)
+
+
+class _PackedLabels(Sequence):
+    """A quantum label column: every label's parts in one ``bytes`` buffer,
+    each label ended by ``b"\\0"`` (no part is 0), and the buffer offset of
+    every ``_READ_BLOCK``-th label, the buffer's length last. A label is read
+    by splitting its block's slice of the buffer: an index splits one block,
+    iteration one block at a time, and a slice the blocks it spans (giving a
+    tuple). No label object is held. Equal to another packed column with the
+    same labels, and to the tuple of its labels.
+
+    Built from ``blocks`` of ``_READ_BLOCK`` labels each (the last may hold
+    fewer), each block packed as it arrives, so a caller may free the
+    labels of a block once it has been taken.
+    """
+
+    __slots__ = ("_size", "_buffer", "_starts")
+
+    def __init__(self, blocks: Iterable[list[bytes]]) -> None:
+        chunks = [b"\0".join([*block, b""]) for block in blocks]
+        self._size = (len(chunks) - 1) * _READ_BLOCK + chunks[-1].count(0) if chunks else 0
+        self._starts = tuple(accumulate(map(len, chunks), initial=0))
+        self._buffer = b"".join(chunks)
+
+    def _split(self, first: int, stop: int) -> list[bytes]:
+        """The labels of blocks ``first`` up to ``stop``."""
+        return self._buffer[self._starts[first]:self._starts[stop] - 1].split(b"\0")
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i: int | slice) -> bytes | tuple[bytes, ...]:
+        if isinstance(i, slice):
+            picked = range(self._size)[i]
+            if not picked:
+                return ()
+            first = min(picked[0], picked[-1]) // _READ_BLOCK
+            labels = self._split(first, max(picked[0], picked[-1]) // _READ_BLOCK + 1)
+            start, stop = picked.start - first * _READ_BLOCK, picked.stop - first * _READ_BLOCK
+            # a negative stop (a step down past the first label split) is None in a list slice
+            return tuple(labels[start:stop if stop >= 0 else None:picked.step])
+        at = range(self._size)[i]  # an int or __index__ object, IndexError when out of range
+        return self._split(at // _READ_BLOCK, at // _READ_BLOCK + 1)[at % _READ_BLOCK]
+
+    def __iter__(self) -> Iterator[bytes]:
+        blocks = len(self._starts) - 1
+        return chain.from_iterable(map(self._split, range(blocks), range(1, blocks + 1)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _PackedLabels):
+            return self._buffer == other._buffer
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+
+def _label_blocks(labels: Iterable) -> Iterator[list[bytes]]:
+    """``labels``, bytes or parts tuples, as ``_PackedLabels`` takes them."""
+    spelled = map(bytes, labels)  # a bytes label is itself, a part of 256 or more raises
+    return iter(lambda: list(islice(spelled, _READ_BLOCK)), [])
 
 
 class _ClassColumns(Sequence):
     """The ``classes`` of a built report: a read-only sequence over three
     columns, one entry per class. A label is the bytes of the parts of a
-    partition of ``n`` (quantum) or an int k (classical). Bytes sort like the
-    parts tuples, and the cyclic garbage collector does not track them. A
-    column given parts tuples keeps them as ``_spelled`` spells them. The
-    intensities are an ``array('d')``, 8 bytes a class, and the counts a
-    tuple sharing one int object per distinct count (see ``_count_column``).
-    A tuple of intensities, as a pickle holds them, becomes an array, its
-    counts shared the same way.
+    partition of ``n`` (quantum), all of them held in one ``_PackedLabels``
+    buffer, or an int k (classical), held in a tuple. Bytes sort like the
+    parts tuples. The intensities are an ``array('d')``, 8 bytes a class, and
+    the counts a tuple sharing one int object per distinct count (see
+    ``_count_column``). A pickle holds the labels as a tuple of bytes (or of
+    parts tuples, as older versions wrote them), which is packed, and the
+    intensities as a tuple, which becomes an array, its counts shared the
+    same way.
 
     An element is an ordinary :class:`IntensityClass` (its label a
-    ``Partition`` of a parts tuple when the column holds parts), made by ``_trusted``
-    when it is read: an index gives one, a slice a tuple of them, iteration
-    ``_READ_BLOCK`` at a time. None of them is kept. Equal to another such
-    sequence with the same ``n`` and columns, and to the tuple of its
-    elements, whose hash and repr it has.
+    ``Partition`` of a parts tuple for a quantum column), made by
+    ``_trusted`` when it is read: an index gives one, a slice a tuple of
+    them, and iteration, ``reversed`` and ``index`` read ``_READ_BLOCK`` at
+    a time. None of them is kept. Equal to another such sequence with the
+    same ``n`` and columns, and to the tuple of its elements, whose hash and
+    repr it has.
     """
 
     __slots__ = ("_n", "_labels", "_intensities", "_counts")
 
-    def __init__(self, n: int, labels: tuple, intensities: array | tuple[float, ...],
-                 counts: tuple[int, ...]) -> None:
-        if labels and type(labels[0]) is tuple:  # as a pickle of tuple labels holds them
-            labels = tuple(map(_spelled, labels))
+    def __init__(self, n: int, labels: _PackedLabels | tuple,
+                 intensities: array | tuple[float, ...], counts: tuple[int, ...]) -> None:
+        if type(labels) is tuple and labels and type(labels[0]) is not int:
+            labels = _PackedLabels(_label_blocks(labels))  # a pickle's bytes or parts tuples
         if type(intensities) is not array:
             intensities = array("d", intensities)
             counts = _count_column(counts, n)[0]
@@ -223,6 +287,20 @@ class _ClassColumns(Sequence):
         blocks = map(slice, range(0, size, _READ_BLOCK), stops)
         return chain.from_iterable(map(self.__getitem__, blocks))
 
+    # Sequence's reversed and index read one element a step, which costs a
+    # label block's split; these read a block a step.
+    def __reversed__(self) -> Iterator[IntensityClass]:
+        tops = range(len(self), 0, -_READ_BLOCK)
+        return chain.from_iterable(self[max(top - _READ_BLOCK, 0):top][::-1] for top in tops)
+
+    def index(self, value: object, start: int = 0, stop: int | None = None) -> int:
+        lo, hi, _ = slice(start, stop).indices(len(self))
+        for first in range(lo, hi, _READ_BLOCK):
+            block = self[first:min(first + _READ_BLOCK, hi)]
+            if value in block:
+                return first + block.index(value)
+        raise ValueError(f"{value!r} is not in the classes")
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _ClassColumns):
             return (self._n, self._labels, self._intensities, self._counts) == (
@@ -238,17 +316,19 @@ class _ClassColumns(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self) -> tuple:
-        # Intensities pickle as a tuple, as they did before the array: every
-        # version loads the pickle, and loading makes the array and shares
-        # the counts again (unpickling makes one int object per row).
-        return _ClassColumns, (self._n, self._labels, tuple(self._intensities), self._counts)
+        # Labels pickle as a tuple of bytes and intensities as a tuple, as
+        # they did before the packed column and the array: every version
+        # loads the pickle, and loading packs the labels, makes the array and
+        # shares the counts again (unpickling makes one int object per row).
+        return _ClassColumns, (self._n, tuple(self._labels), tuple(self._intensities),
+                               self._counts)
 
 
-def _columns(classes: Sequence[IntensityClass]) -> tuple[tuple, Sequence[float], tuple]:
+def _columns(classes: Sequence[IntensityClass]) -> tuple[Sequence, Sequence[float], tuple]:
     """The label, intensity and count columns of ``classes``, a partition
-    label spelled by ``_spelled``: a columnar sequence's own (its intensities
-    an array), with no object made, or read off the objects of any other
-    sequence (as tuples)."""
+    label spelled by ``_spelled``: a columnar sequence's own (its partition
+    labels packed, its intensities an array), with no object made, or read
+    off the objects of any other sequence (as tuples)."""
     if isinstance(classes, _ClassColumns):
         return classes._labels, classes._intensities, classes._counts
     labels = tuple(_spelled(c.label.parts) if isinstance(c.label, Partition) else c.label
@@ -329,6 +409,16 @@ def _mirrored(half: list, n: int) -> list:
     return half + half[n - len(half)::-1]
 
 
+def _freed_label_blocks(rows: list) -> Iterator[list[bytes]]:
+    """The labels of ``rows`` a block at a time, as ``_PackedLabels`` takes
+    them; each block's rows are set to ``None`` as it is taken, so that the
+    rows die as the labels are packed and no label is held twice."""
+    for start in range(0, len(rows), _READ_BLOCK):
+        block = rows[start:start + _READ_BLOCK]
+        rows[start:start + _READ_BLOCK] = repeat(None, len(block))
+        yield list(map(itemgetter(1), block))
+
+
 def _partition_report(n: int, rows: list[tuple[float, bytes, int]]) -> SpectrumReport:
     """The one place a quantum class list is assembled, from one unsorted
     ``(intensity, parts, count)`` row per partition of n, its parts as bytes.
@@ -346,7 +436,9 @@ def _partition_report(n: int, rows: list[tuple[float, bytes, int]]) -> SpectrumR
     lists the other members brightest first. The sorted rows become the
     three columns of the report's ``classes``: no ``IntensityClass`` is made.
     The intensities go into one ``array('d')``, the counts through
-    ``_count_column``, which also gives the entropy.
+    ``_count_column``, which also gives the entropy, and last the labels into
+    one ``_PackedLabels`` buffer, a block of rows at a time, each block's rows
+    set to ``None`` as it is packed (``rows`` is the caller's list).
     """
     total = 1 << n
     for intensity, _, count in rows:
@@ -384,10 +476,11 @@ def _partition_report(n: int, rows: list[tuple[float, bytes, int]]) -> SpectrumR
 
     counts, entropy_bits = _count_column(list(map(itemgetter(2), rows)), n)
     intensities = array("d", list(map(itemgetter(0), rows)))  # faster than from the iterator
+    labels = _PackedLabels(_freed_label_blocks(rows))
     return SpectrumReport(
         n=n,
         kind="quantum",
-        classes=_ClassColumns(n, tuple(map(itemgetter(1), rows)), intensities, counts),
+        classes=_ClassColumns(n, labels, intensities, counts),
         entropy_bits=entropy_bits,
         bound_bits=asymptotic_log2_p(n),
         merges=tuple(merges),
@@ -482,8 +575,8 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
         for key, intensity in block.items():  # so each key keeps its brightest float
             if intensity > brightest.get(key, 0.0):
                 brightest[key] = intensity
-    rows = [(brightest.get(key, 0.0), _key_parts(n, key), count) for key, count in counts.items()]
-    return _partition_report(n, rows)
+    return _partition_report(
+        n, [(brightest.get(key, 0.0), _key_parts(n, key), count) for key, count in counts.items()])
 
 
 def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:

@@ -491,15 +491,22 @@ class _OldColumns:
 
 
 def test_columns_of_parts_tuples_equal_the_bytes_ones():
-    # as a report pickled while labels were parts tuples, intensities a tuple
-    # of floats and every count an int of its own (unpickling makes one per
-    # row) loads its classes: equal both ways, and held as a fresh report's
-    for report in (quantum_spectrum(15), classical_spectrum(12, 0.5)):
+    # a report pickled while labels were a tuple of bytes or of parts tuples,
+    # intensities a tuple of floats and every count an int of its own
+    # (unpickling makes one per row) loads its classes: equal both ways, and
+    # held as a fresh report's, its labels packed; n = 30's labels span blocks
+    for report, spelled in ((quantum_spectrum(30), tuple),
+                            (quantum_spectrum(15), lambda labels: tuple(map(tuple, labels))),
+                            (classical_spectrum(12, 0.5), tuple)):
         labels, intensities, counts = spectrum._columns(report.classes)
-        if report.kind == "quantum":
-            assert type(labels[0]) is bytes
-            labels = tuple(map(tuple, labels))
-        pickled = pickle.dumps(_OldColumns(report.n, labels, tuple(intensities), counts))
+        # a pickle of a new report carries what the older versions load: a
+        # tuple of labels, bytes for a partition, and a tuple of intensities
+        maker, args = report.classes.__reduce__()
+        assert maker is spectrum._ClassColumns and args[0] == report.n
+        assert type(args[1]) is tuple and args[1] == tuple(labels)
+        assert {type(label) for label in args[1]} == {bytes if report.kind == "quantum" else int}
+        assert type(args[2]) is tuple and args[2] == tuple(intensities) and args[3] is counts
+        pickled = pickle.dumps(_OldColumns(report.n, spelled(labels), tuple(intensities), counts))
         fresh = pickle.loads(pickle.dumps(counts))  # the counts as unpickling makes them
         assert len(set(map(id, fresh))) > len(set(fresh))
         old = pickle.loads(pickled)
@@ -534,18 +541,86 @@ def _held(build):
 
 
 def _compact(columns):
-    """Whether ``columns`` keep their intensities in an array and one int object per distinct count."""
-    _, intensities, counts = spectrum._columns(columns)
-    return type(intensities) is array and len(set(map(id, counts))) == len(set(counts))
+    """Whether ``columns`` keep their partition labels packed, their intensities
+    in an array and one int object per distinct count."""
+    labels, intensities, counts = spectrum._columns(columns)
+    packed = type(labels) is spectrum._PackedLabels or {type(label) for label in labels} == {int}
+    return packed and type(intensities) is array and len(set(map(id, counts))) == len(set(counts))
 
 
 def test_quantum_report_holds_its_columns_compactly():
-    # about 73 bytes a class: a label's bytes, two pointers and a double; 126
-    # while each intensity was a float object and each count an int of its own
+    # about 33 bytes a class: a label's parts and its end in the packed
+    # buffer, a pointer and a double; 73 while each label was a bytes object,
+    # 126 while each intensity was a float object and each count an int of
+    # its own
     report, held = _held(lambda: quantum_spectrum(40))
     assert len(report.classes) == count_partitions(40)
     assert _compact(report.classes)
-    assert held <= 90 * len(report.classes), held / len(report.classes)
+    assert held <= 40 * len(report.classes), held / len(report.classes)
+
+
+def test_quantum_build_holds_no_label_twice():
+    # the build's peak is the walk's rows, one tuple per partition; the labels
+    # are packed a block of rows at a time and those rows freed, so the
+    # packed buffer never sits beside every row (38.8 MiB traced at n = 50,
+    # 45.7 MiB when every row stays alive until the buffer is full)
+    n = 50
+    spectrum._cos_sq(n)  # the memoized table, held beyond the build
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        quantum_spectrum(n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, peak / 2**20
+
+
+def test_packed_labels_index_and_slice_like_a_tuple():
+    # p(30) = 5,604 partitions: five full blocks of 1,024 labels and a partial sixth
+    report = quantum_spectrum(30)
+    labels = spectrum._columns(report.classes)[0]
+    expected = tuple(bytes(c.label.parts) for c in tuple(report.classes))
+    size, block = len(expected), spectrum._READ_BLOCK
+    assert type(labels) is spectrum._PackedLabels and size % block and size > 5 * block
+    assert len(labels) == size and tuple(labels) == expected and list(labels) == list(expected)
+    assert labels == expected and expected == labels and not labels != expected
+    assert labels != expected[:-1] and labels != expected[:-1] + (b"\1",) and labels != [*expected]
+
+    class At:
+        def __init__(self, i):
+            self.i = i
+
+        def __index__(self):
+            return self.i
+
+    last = size // block * block  # the partial block's first
+    for i in (0, 1, 1023, 1024, 1025, last - 1, last, last + 1, size - 1, -1, -2, -1025, -size):
+        assert labels[i] == expected[i] and labels[At(i)] == expected[i]
+    for i in (size, -size - 1, 10**6, At(size)):
+        with pytest.raises(IndexError):
+            labels[i]
+    with pytest.raises(TypeError):
+        labels["1"]
+    for cut in (slice(None), slice(None, None, -2), slice(None, None, 7), slice(3, 1),
+                slice(1000, 1100), slice(-1500, None, -2), slice(1030, 5, -7),
+                slice(2000, 1020, -7), slice(last - 3, None), slice(2, -2, 1024),
+                slice(size, None)):
+        assert type(labels[cut]) is tuple and labels[cut] == expected[cut], cut
+
+    # the classes read through the packed column index as their tuple, across blocks
+    classes, as_tuple = report.classes, tuple(report.classes)
+    assert tuple(reversed(classes)) == as_tuple[::-1]
+    for i in (0, 1023, 1024, 1025, size - 1):
+        assert classes.index(as_tuple[i]) == i
+    assert classes.index(as_tuple[2000], 1500, 2001) == 2000
+    assert classes.index(as_tuple[-2], -3) == size - 2
+    for start, stop in ((2001, None), (0, 2000), (-1, None), (0, -size - 5)):
+        with pytest.raises(ValueError):
+            classes.index(as_tuple[2000], start, stop)
+
+    assert spectrum._PackedLabels(iter(())) == () and len(spectrum._PackedLabels(iter(()))) == 0
 
 
 def test_classical_report_holds_its_columns_compactly():
