@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import astuple, dataclass
 from json.encoder import encode_basestring_ascii
-from operator import index, itemgetter, truediv
+from operator import index, truediv
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -68,10 +68,9 @@ def _fmt(x: float, precision: int) -> str:
 # Columns become text _BLOCK cells at a time, each by one C-level map: a Python
 # call per cell costs more than the formatting. _SEP joins a table block's column
 # until the widths are known, and ends each label of a block of partitions decoded
-# as one text. _DIGITS spells the parts of n <= ENUMERATION_CAP.
+# as one text.
 _BLOCK = 1024
 _SEP = "\x1f"
-_DIGITS = tuple(map(str, range(partitions.ENUMERATION_CAP + 1)))
 
 
 def _render(
@@ -106,18 +105,15 @@ def _render(
     as_json = out.format == "json"
     by_kind = {float: fmt, int: int.__repr__, str: encode_basestring_ascii if as_json else str}
     glue = ",\n        " if as_json else "+"  # between a partition's parts
-    spell = (_SEP, *(glue + digits for digits in _DIGITS[1:]))  # a part's byte, or a label's end
+    spell = (_SEP, *(glue + str(v) for v in range(1, 256)))  # a part's byte, or a label's end
 
     def convert(column: list[object]) -> list[str]:
         kinds = set(map(type, column))
         kind = kinds.pop() if len(kinds) == 1 else None
         if kind is bytes:
-            if max(map(itemgetter(0), column)) < len(_DIGITS):
-                # one decode spells the block; every label then starts with the glue
-                text = codecs.charmap_decode(b"\0".join(column), "strict", spell)[0]
-                labels = text[len(glue):].split(_SEP + glue)
-            else:
-                labels = map(glue.join, map(map, itertools.repeat(str), column))
+            # one decode spells the block; every label then starts with the glue
+            text = codecs.charmap_decode(b"\0".join(column), "strict", spell)[0]
+            labels = text[len(glue):].split(_SEP + glue)
             return list(map("[\n        {}\n      ]".format, labels) if as_json else labels)
         if kind is float and as_json:
             texts = list(map(fmt, column))

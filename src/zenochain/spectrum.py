@@ -174,10 +174,11 @@ class _PackedLabels(Sequence):
     """A quantum label column: every label's parts in one ``bytes`` buffer,
     each label ended by ``b"\\0"`` (no part is 0), and the buffer offset of
     every ``_READ_BLOCK``-th label, the buffer's length last. A label is read
-    by splitting its block's slice of the buffer: an index splits one block,
-    iteration one block at a time, and a slice the blocks it spans (giving a
-    tuple). No label object is held. Equal to another packed column with the
-    same labels, and to the tuple of its labels.
+    by splitting its block's slice of the buffer: an index splits it from
+    the nearer end up to the label, iteration one block at a time, and a
+    slice the blocks it spans (giving a tuple). No label object is held.
+    Equal to another packed column with the same labels, and to the tuple of
+    its labels.
 
     Built from ``blocks`` of ``_READ_BLOCK`` labels each (the last may hold
     fewer), each block packed as it arrives, so a caller may free the
@@ -210,7 +211,12 @@ class _PackedLabels(Sequence):
             # a negative stop (a step down past the first label split) is None in a list slice
             return tuple(labels[start:stop if stop >= 0 else None:picked.step])
         at = range(self._size)[i]  # an int or __index__ object, IndexError when out of range
-        return self._split(at // _READ_BLOCK, at // _READ_BLOCK + 1)[at % _READ_BLOCK]
+        block, k = divmod(at, _READ_BLOCK)
+        labels = self._buffer[self._starts[block]:self._starts[block + 1] - 1]
+        after = min(self._size - block * _READ_BLOCK, _READ_BLOCK) - 1 - k
+        # split from the nearer end of the block (k labels before, after ones
+        # after), and only up to the label
+        return labels.split(b"\0", k + 1)[k] if k <= after else labels.rsplit(b"\0", after + 1)[1]
 
     def __iter__(self) -> Iterator[bytes]:
         blocks = len(self._starts) - 1
@@ -316,10 +322,11 @@ class _ClassColumns(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self) -> tuple:
-        # Labels pickle as a tuple of bytes and intensities as a tuple, as
-        # they did before the packed column and the array: every version
-        # loads the pickle, and loading packs the labels, makes the array and
-        # shares the counts again (unpickling makes one int object per row).
+        # Labels pickle as a tuple of bytes and intensities as a tuple, the
+        # format of versions without the packed column and the array: every
+        # version loads the pickle, and loading packs the labels, makes the
+        # array and shares the counts again (unpickling makes one int object
+        # per row).
         return _ClassColumns, (self._n, tuple(self._labels), tuple(self._intensities),
                                self._counts)
 

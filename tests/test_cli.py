@@ -487,7 +487,7 @@ def reference_render(out, headers, rows, key="rows", lead=(), tail=(), footers=(
 # in odd blocks only, so that even blocks take the paths that need neither.
 ODD_FLOATS = (0.1, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1 / 3, 1e300)
 ODD_STRINGS = ("a,b", 'say "x"', "two\nlines", f"pa{_SEP}cked", "\u00e9", "", " pad ", "cr\r")
-BIG = bytes((65, 1))  # a part past the renderer's digit table
+BIG = bytes((255, 65, 1))  # parts past those of n <= ENUMERATION_CAP, up to a byte's largest
 
 
 def odd_rows(count):

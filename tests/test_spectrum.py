@@ -550,9 +550,7 @@ def _compact(columns):
 
 def test_quantum_report_holds_its_columns_compactly():
     # about 33 bytes a class: a label's parts and its end in the packed
-    # buffer, a pointer and a double; 73 while each label was a bytes object,
-    # 126 while each intensity was a float object and each count an int of
-    # its own
+    # buffer, a pointer and a double
     report, held = _held(lambda: quantum_spectrum(40))
     assert len(report.classes) == count_partitions(40)
     assert _compact(report.classes)
@@ -562,8 +560,9 @@ def test_quantum_report_holds_its_columns_compactly():
 def test_quantum_build_holds_no_label_twice():
     # the build's peak is the walk's rows, one tuple per partition; the labels
     # are packed a block of rows at a time and those rows freed, so the
-    # packed buffer never sits beside every row (38.8 MiB traced at n = 50,
-    # 45.7 MiB when every row stays alive until the buffer is full)
+    # packed buffer never sits beside every row. Traced at n = 50: 38.8 MiB
+    # on 3.11 to 3.13 and 38.5 MiB on 3.10; 42.9 MiB (42.5 on 3.10) when the
+    # rows stay alive while their labels are packed. The bound is between.
     n = 50
     spectrum._cos_sq(n)  # the memoized table, held beyond the build
     gc.collect()
@@ -574,7 +573,7 @@ def test_quantum_build_holds_no_label_twice():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2**20, peak / 2**20
+    assert peak <= 41 * 2**20, peak / 2**20
 
 
 def test_packed_labels_index_and_slice_like_a_tuple():
