@@ -37,8 +37,8 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, filterfalse, islice, repeat
-from operator import add, index, itemgetter, mul, sub
+from itertools import accumulate, chain, compress, filterfalse, islice, repeat
+from operator import add, index, itemgetter, le, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .apparatus import _cos_sq
@@ -180,14 +180,15 @@ class _PackedLabels(Sequence):
     Equal to another packed column with the same labels, and to the tuple of
     its labels.
 
-    Built from ``blocks`` of ``_READ_BLOCK`` labels each (the last may hold
-    fewer), each block packed as it arrives, so a caller may free the
-    labels of a block once it has been taken.
+    Built from any iterable of ``bytes`` labels, read and packed
+    ``_READ_BLOCK`` at a time.
     """
 
     __slots__ = ("_size", "_buffer", "_starts")
 
-    def __init__(self, blocks: Iterable[list[bytes]]) -> None:
+    def __init__(self, labels: Iterable[bytes]) -> None:
+        labels = iter(labels)
+        blocks = iter(lambda: list(islice(labels, _READ_BLOCK)), [])
         chunks = [b"\0".join([*block, b""]) for block in blocks]
         self._size = (len(chunks) - 1) * _READ_BLOCK + chunks[-1].count(0) if chunks else 0
         self._starts = tuple(accumulate(map(len, chunks), initial=0))
@@ -230,12 +231,6 @@ class _PackedLabels(Sequence):
         return NotImplemented
 
 
-def _label_blocks(labels: Iterable) -> Iterator[list[bytes]]:
-    """``labels``, bytes or parts tuples, as ``_PackedLabels`` takes them."""
-    spelled = map(bytes, labels)  # a bytes label is itself, a part of 256 or more raises
-    return iter(lambda: list(islice(spelled, _READ_BLOCK)), [])
-
-
 class _ClassColumns(Sequence):
     """The ``classes`` of a built report: a read-only sequence over three
     columns, one entry per class. A label is the bytes of the parts of a
@@ -262,7 +257,7 @@ class _ClassColumns(Sequence):
     def __init__(self, n: int, labels: _PackedLabels | tuple,
                  intensities: array | tuple[float, ...], counts: tuple[int, ...]) -> None:
         if type(labels) is tuple and labels and type(labels[0]) is not int:
-            labels = _PackedLabels(_label_blocks(labels))  # a pickle's bytes or parts tuples
+            labels = _PackedLabels(map(bytes, labels))  # a pickle's bytes or parts tuples
         if type(intensities) is not array:
             intensities = array("d", intensities)
             counts = _count_column(counts, n)[0]
@@ -416,47 +411,50 @@ def _mirrored(half: list, n: int) -> list:
     return half + half[n - len(half)::-1]
 
 
-def _freed_label_blocks(rows: list) -> Iterator[list[bytes]]:
-    """The labels of ``rows`` a block at a time, as ``_PackedLabels`` takes
-    them; each block's rows are set to ``None`` as it is taken, so that the
-    rows die as the labels are packed and no label is held twice."""
-    for start in range(0, len(rows), _READ_BLOCK):
-        block = rows[start:start + _READ_BLOCK]
-        rows[start:start + _READ_BLOCK] = repeat(None, len(block))
-        yield list(map(itemgetter(1), block))
+def _partition_report(n: int, rows: Iterable[tuple[float, bytes, int]]) -> SpectrumReport:
+    """The one place a quantum class list is assembled, from one
+    ``(intensity, parts, count)`` row per partition of n, its parts as bytes,
+    in any order. ``rows`` may be any iterable; it is read once, never changed.
 
-
-def _partition_report(n: int, rows: list[tuple[float, bytes, int]]) -> SpectrumReport:
-    """The one place a quantum class list is assembled, from one unsorted
-    ``(intensity, parts, count)`` row per partition of n, its parts as bytes.
-
-    Every row is checked first (count in 1..2^n, intensity nonnegative and not
-    NaN), before any object is built. Rows are then sorted brightest first.
-    Only rows within the merge window of a sorted neighbour (see
-    ``_MERGE_WINDOW``) can share an intensity; these candidates are grouped in
-    one pass by exact value (``_exact.exact_key``), so every merge is a proven
-    identity and no distinct pair is ever joined. A group's merged row takes
-    the place of its first (brightest) row and the others are dropped, so the
-    rows stay sorted. A merged class keeps its brightest member's float but is
-    labelled by the lexicographically smallest member partition, so the label
-    never depends on which member's float happens to round higher; ``merges``
-    lists the other members brightest first. The sorted rows become the
-    three columns of the report's ``classes``: no ``IntensityClass`` is made.
-    The intensities go into one ``array('d')``, the counts through
-    ``_count_column``, which also gives the entropy, and last the labels into
-    one ``_PackedLabels`` buffer, a block of rows at a time, each block's rows
-    set to ``None`` as it is packed (``rows`` is the caller's list).
+    The rows are read ``_READ_BLOCK`` at a time into three lists, so no row
+    outlives its block, and checked (count in 1..2^n, intensity nonnegative
+    and not NaN) before any object is built. One stable argsort of the
+    intensities puts the lists brightest first. On the walk's rows this is the
+    order of ``sorted(rows, reverse=True)``: a stable sort keeps tied rows in
+    input order, and the walk yields descending parts. Only rows within the
+    merge window of a sorted neighbour (see ``_MERGE_WINDOW``) can share an
+    intensity; these candidates are grouped in one pass by exact value
+    (``_exact.exact_key``), so every merge is a proven identity. A group's
+    first (brightest) row takes the group's summed count and the others'
+    counts become 0, and are dropped. A merged class keeps its brightest
+    member's float but is labelled by the lexicographically smallest member
+    partition, so the label never depends on which member's float happens to
+    round higher; ``merges`` lists the other members brightest first. No
+    ``IntensityClass`` is made: the intensities become one ``array('d')``,
+    the counts go through ``_count_column``, which also gives the entropy,
+    and the labels are packed into one ``_PackedLabels`` buffer.
     """
+    intensities, labels, counts = [], [], []
+    rows = iter(rows)
+    # three maps, not zip(*block): zip makes an iterator per row, which set off
+    # full collections over the growing lists (n = 64 read in 2.6 s, not 2.0)
+    for block in iter(lambda: list(islice(rows, _READ_BLOCK)), []):
+        intensities += map(itemgetter(0), block)
+        labels += map(itemgetter(1), block)
+        counts += map(itemgetter(2), block)
     total = 1 << n
-    for intensity, _, count in rows:
-        if not (1 <= count <= total and intensity >= 0.0):
-            _check_class(intensity, count, total)  # raises
-    rows.sort(reverse=True)
-    window = _MERGE_WINDOW
-    near = [  # indices i whose row lies within the window of row i - 1
-        i for i in range(1, len(rows))
-        if rows[i - 1][0] - rows[i][0] <= window * rows[i - 1][0]
-    ]
+    if not (1 <= min(counts) and max(counts) <= total
+            and all(map((0.0).__le__, intensities))):  # NaN fails it too
+        deque(map(_check_class, intensities, counts, repeat(total)), maxlen=0)  # raises
+    order = sorted(range(len(counts)), key=intensities.__getitem__, reverse=True)
+    intensities = list(map(intensities.__getitem__, order))
+    labels = list(map(labels.__getitem__, order))
+    counts = list(map(counts.__getitem__, order))
+    del order  # an int per row: gone before the labels are packed
+    # indices i whose intensity lies within the window of i - 1's
+    falls = map(sub, intensities, islice(intensities, 1, None))
+    windows = map(mul, repeat(_MERGE_WINDOW), intensities)
+    near = list(compress(range(1, len(counts)), map(le, falls, windows)))
 
     merges: list[tuple[Partition, Partition]] = []
     if near:
@@ -466,28 +464,28 @@ def _partition_report(n: int, rows: list[tuple[float, bytes, int]]) -> SpectrumR
         phi = _exact.cyclotomic(2 * n)
         groups: dict[tuple[int, ...], list[int]] = {}  # exact key -> row indices
         for i in sorted({j - 1 for j in near}.union(near)):
-            groups.setdefault(_exact.exact_key(n, rows[i][1], phi), []).append(i)
+            groups.setdefault(_exact.exact_key(n, labels[i], phi), []).append(i)
         for indices in groups.values():
             if len(indices) > 1:
-                members = sorted((rows[i] for i in indices), key=lambda m: (-m[0], m[1]))
-                label = min(m[1] for m in members)
+                members = sorted(indices, key=lambda i: (-intensities[i], labels[i]))
+                label = min(map(labels.__getitem__, indices))
                 kept = Partition._trusted(tuple(label), n)
-                merges.extend(
-                    (kept, Partition._trusted(tuple(m[1]), n)) for m in members if m[1] != label
-                )
-                rows[indices[0]] = (members[0][0], label, sum(m[2] for m in members))
+                merges.extend((kept, Partition._trusted(tuple(labels[i]), n))
+                              for i in members if labels[i] != label)
+                labels[indices[0]] = label
+                counts[indices[0]] = sum(map(counts.__getitem__, indices))
                 for i in indices[1:]:
-                    rows[i] = None
+                    counts[i] = 0
         if merges:
-            rows = [row for row in rows if row is not None]
+            intensities = list(compress(intensities, counts))
+            labels = list(compress(labels, counts))
+            counts = list(compress(counts, counts))
 
-    counts, entropy_bits = _count_column(list(map(itemgetter(2), rows)), n)
-    intensities = array("d", list(map(itemgetter(0), rows)))  # faster than from the iterator
-    labels = _PackedLabels(_freed_label_blocks(rows))
+    counts, entropy_bits = _count_column(counts, n)
     return SpectrumReport(
         n=n,
         kind="quantum",
-        classes=_ClassColumns(n, labels, intensities, counts),
+        classes=_ClassColumns(n, _PackedLabels(labels), array("d", intensities), counts),
         entropy_bits=entropy_bits,
         bound_bits=asymptotic_log2_p(n),
         merges=tuple(merges),
@@ -510,7 +508,7 @@ def quantum_spectrum(n: int) -> SpectrumReport:
     if cached is not None:
         return cached
 
-    report = _partition_report(n, list(_partition_profiles(n, _cos_sq(n))))
+    report = _partition_report(n, _partition_profiles(n, _cos_sq(n)))
     if n <= _QUANTUM_CACHE_MAX_N:
         _quantum_cache[n] = report
     return report
@@ -583,7 +581,7 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
             if intensity > brightest.get(key, 0.0):
                 brightest[key] = intensity
     return _partition_report(
-        n, [(brightest.get(key, 0.0), _key_parts(n, key), count) for key, count in counts.items()])
+        n, ((brightest.get(key, 0.0), _key_parts(n, key), count) for key, count in counts.items()))
 
 
 def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:

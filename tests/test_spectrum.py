@@ -372,6 +372,42 @@ def test_partition_report_checks_rows_before_building(monkeypatch):
         assert rows == before  # not sorted either
 
 
+@pytest.mark.parametrize("n", [15, 30, 42, 45, 60])
+def test_report_order_is_the_row_sort_at_merge_sizes(n):
+    # the report's columns against the walk's rows sorted as tuples, each
+    # merge applied at its group's first (brightest) row: same labels,
+    # counts and intensity bits, so the argsort breaks ties as the tuple sort
+    report = quantum_spectrum(n)
+    assert report.merges
+    kept = {bytes(absorbed.parts): bytes(label.parts) for label, absorbed in report.merges}
+    at, expected = {}, []
+    for intensity, parts, count in sorted(_partition_profiles(n, spectrum._cos_sq(n)),
+                                          reverse=True):
+        label = kept.get(parts, parts)
+        if label in at:
+            brightest, _, total = expected[at[label]]
+            expected[at[label]] = (brightest, label, total + count)
+        else:
+            at[label] = len(expected)
+            expected.append((intensity, label, count))
+    labels, intensities, counts = spectrum._columns(report.classes)
+    assert tuple(labels) == tuple(label for _, label, _ in expected)
+    assert counts == tuple(count for _, _, count in expected)
+    assert intensities.tobytes() == array("d", [x for x, _, _ in expected]).tobytes()
+
+
+def test_partition_report_reads_its_rows_once_and_leaves_them_alone():
+    # a one-shot iterator is read once; a caller's row list is neither
+    # sorted nor emptied, and still builds the same report again
+    n = 15
+    rows = list(_partition_profiles(n, spectrum._cos_sq(n)))
+    before = list(rows)
+    from_iterator = spectrum._partition_report(n, iter(rows))
+    from_list = spectrum._partition_report(n, rows)
+    assert rows == before
+    assert from_iterator == from_list == quantum_spectrum(n)  # merges included
+
+
 def test_merged_row_keeps_its_place_among_interleaved_classes():
     # 8+4+2+1 and 7+6+1+1 are exactly equal; given the same float as the
     # distinct 7+7+1, the three sort as 8+4+2+1, 7+7+1, 7+6+1+1
@@ -558,11 +594,11 @@ def test_quantum_report_holds_its_columns_compactly():
 
 
 def test_quantum_build_holds_no_label_twice():
-    # the build's peak is the walk's rows, one tuple per partition; the labels
-    # are packed a block of rows at a time and those rows freed, so the
-    # packed buffer never sits beside every row. Traced at n = 50: 38.8 MiB
-    # on 3.11 to 3.13 and 38.5 MiB on 3.10; 42.9 MiB (42.5 on 3.10) when the
-    # rows stay alive while their labels are packed. The bound is between.
+    # the build reads the walk's rows a block at a time into three lists, so
+    # no row tuple outlives its block, and packs the sorted labels once the
+    # argsort's index list and the unsorted lists are gone. Traced at n = 50:
+    # 36.0 MiB on 3.11 and 3.13. Holding every row while the labels are
+    # packed takes 42.9 MiB, above the bound.
     n = 50
     spectrum._cos_sq(n)  # the memoized table, held beyond the build
     gc.collect()
