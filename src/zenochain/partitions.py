@@ -3,8 +3,9 @@
 Exact partition counts, canonical enumeration, and the number of apparatus
 configurations realizing each partition. Everything here is exact integer
 arithmetic; the only floats are the asymptotic bit estimate and the product
-of per-part weights that the one partition walk, a flat loop over a stack of
-distinct parts, keeps as a prefix product for its callers.
+of per-part weights that the weighted walk, ``_partition_columns``, carries
+down buckets of partial partitions a bucket at a time. Enumeration is a
+separate walk over parts only: a flat loop over a stack of distinct parts.
 
 All functions are pure and safe to call concurrently; the count cache is
 guarded by a lock and enumeration order is deterministic.
@@ -17,6 +18,8 @@ import math
 import operator
 import threading
 from dataclasses import dataclass, field
+from itertools import repeat, tee
+from operator import add, floordiv, mul
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -41,6 +44,16 @@ ENUMERATION_CAP = 64
 #: Coefficient of sqrt(n) in the large-n growth of log2 p(n):
 #: pi * sqrt(2/3) * log2(e), about 3.7007.
 ASYMPTOTIC_BITS_PER_SQRT_N = math.pi * math.sqrt(2.0 / 3.0) / math.log(2.0)
+
+
+# m! and 2 m! for every m up to ENUMERATION_CAP, and the bytes of every
+# part: the tables the partition walks read.
+_FACTORIALS = [math.factorial(i) for i in range(ENUMERATION_CAP + 1)]
+_TWICE_FACTORIALS = [2 * f for f in _FACTORIALS]
+_BYTES = [bytes((value,)) for value in range(ENUMERATION_CAP + 1)]
+
+# The column walk updates its product column in place this many at a time.
+_BLOCK = 1024
 
 
 class CapacityError(ValueError):
@@ -134,66 +147,114 @@ def count_partitions(n: int) -> int:
     return _count_cache[n]
 
 
-def _partition_profiles(
+def _partition_columns(
     n: int, weights: Sequence[float]
-) -> Iterator[tuple[float, bytes, int]]:
-    """Yield ``(product, parts, count)`` for every partition of ``n``.
+) -> tuple[list[float], list[bytes], list[int]]:
+    """Three columns with one entry per partition of ``n`` (at most
+    ENUMERATION_CAP): products, labels and counts, in bucket order, which is
+    not a sort order.
 
-    ``parts`` is the ``bytes`` of the non-increasing parts: every part of
+    A label is the ``bytes`` of the non-increasing parts: every part of
     n <= ENUMERATION_CAP fits in a byte, and bytes sort like the tuple of
-    their values. The sequence is reverse-lexicographic: ``(n,)`` first, all
-    ones last. ``count`` is the state count,
-    2 m! / prod(multiplicity_j!) over the m parts. ``product`` is the product
-    of ``weights[g]`` over the parts g, one multiply per part in the order of
-    the parts, so it has the same bits as
+    their values. A count is the state count, 2 m! / prod(multiplicity_j!)
+    over the m parts; the column holds one int object per distinct count. A
+    product is the product of ``weights[g]`` over the parts g, one multiply
+    per part in the order of the parts, so it has the same bits as
     ``1.0 * weights[parts[0]] * weights[parts[1]] * ...`` evaluated left to
     right.
 
-    One loop over a stack of levels, one per distinct part above 1, largest
-    first. Each level keeps the products of its prefix times 1, 2, ... copies
-    of its weight and the state of the levels before it, so the next
-    partition recomputes nothing above the level it changes. The ones are
-    never a level: each leaf multiplies in what is left of ``n``.
+    Partial partitions wait in buckets by the sum r still to fill, each
+    bucket three lists: products, labels and the products of the
+    multiplicities' factorials. For each value v from n down to 2, each
+    bucket r >= v, in ascending order, sends its children with k = 1, 2, ...
+    copies of v to bucket r - k v. That bucket was taken at this v already,
+    so no partial gets a second run of v. A child column is one C-level map
+    over the whole parent bucket, the k-th copy's products made from the
+    (k - 1)-th's. Only buckets that hold something are taken, and bucket n
+    holds the empty partial alone, whose children are appended one by one.
+    Last, each bucket's rest is filled with ones.
     """
-    fact = [math.factorial(i) for i in range(n + 1)]
-    twice_fact = [2 * f for f in fact]
-    byte = [bytes((value,)) for value in range(n + 1)]
+    products = list(map(list, repeat((), n + 1)))
+    labels = list(map(list, repeat((), n + 1)))
+    denoms = list(map(list, repeat((), n + 1)))
+    products[n], labels[n], denoms[n] = [1.0], [b""], [1]
+    for value in range(n, 1, -1):
+        weight, byte = weights[value], _BYTES[value]
+        # bucket r < n holds partials once their parts, all above value, can
+        # sum to n - r: once n - r > value
+        for rest in range(value, n - value):
+            product, label, denom = products[rest], labels[rest], denoms[rest]
+            for k in range(1, rest // value + 1):
+                product = list(map(mul, product, repeat(weight)))
+                to = rest - k * value
+                products[to] += product
+                labels[to] += map(add, label, repeat(byte * k))
+                denoms[to] += denom if k == 1 else map(mul, denom, repeat(_FACTORIALS[k]))
+        # bucket n holds the empty partial alone: its children, one apiece
+        product = 1.0
+        for k in range(1, n // value + 1):
+            product *= weight
+            products[n - k * value].append(product)
+            labels[n - k * value].append(byte * k)
+            denoms[n - k * value].append(_FACTORIALS[k])
+    # The ones, bucket n first. The product column carries every bucket taken
+    # so far; before bucket r joins, each carried product takes one more
+    # multiply by weights[1], so bucket r's take r, one map a step for all of
+    # them. The column is multiplied in place a block at a time, never held
+    # twice. A bucket's counts are shared as they are made, and the bucket is
+    # freed once read.
     one = weights[1]
+    column_products: list[float] = []
+    column_labels: list[bytes] = []
+    column_counts: list[int] = []
+    distinct: dict[int, int] = {}
+    for rest in range(n, -1, -1):
+        for at in range(0, len(column_products), _BLOCK):
+            column_products[at:at + _BLOCK] = map(mul, column_products[at:at + _BLOCK],
+                                                  repeat(one))
+        label, denom = labels[rest], denoms[rest]
+        column_products += products[rest]
+        products[rest] = labels[rest] = denoms[rest] = None
+        # count = 2 m! / (denominator r!) over the m = len(label) + r parts
+        counts = map(floordiv, map(_TWICE_FACTORIALS[rest:].__getitem__, map(len, label)),
+                     map(mul, denom, repeat(_FACTORIALS[rest])))
+        column_labels += map(add, label, repeat(_BYTES[1] * rest))
+        column_counts += map(distinct.setdefault, *tee(counts))
+    return column_products, column_labels, column_counts
+
+
+def _partition_labels(n: int) -> Iterator[bytes]:
+    """The labels of the partitions of ``n`` (the ``bytes`` of their
+    non-increasing parts), one at a time, reverse-lexicographically: ``(n,)``
+    first, all ones last.
+
+    One loop over a stack of levels, one per distinct part above 1, largest
+    first; each level keeps its value, multiplicity and the label before it,
+    so the next partition rebuilds nothing above the level it changes. The
+    ones are never a level: each leaf appends what is left of ``n``.
+    """
+    byte = _BYTES
     levels = []
-    product, parts, m, denom = 1.0, b"", 0, 1
+    parts = b""
     value = rest = n
     while True:
         # Fill: the largest parts <= value that fit into rest, ones excepted.
         while rest > 1 and value > 1:
             value = min(value, rest)
             mult, rest = divmod(rest, value)
-            weight = weights[value]
-            products = []  # [k - 1]: the prefix's product times k copies of weight
-            running = product
-            for _ in range(mult):
-                running *= weight
-                products.append(running)
-            levels.append((value, mult, products, product, parts, m, denom))
-            product = running
+            levels.append((value, mult, parts))
             parts += byte[value] * mult
-            m += mult
-            denom *= fact[mult]
             value -= 1
-        for _ in range(rest):
-            product *= one
-        yield product, parts + byte[1] * rest, twice_fact[m + rest] // (denom * fact[rest])
+        yield parts + byte[1] * rest
         if not levels:
             return
         # Next partition: one copy of the last level's value joins the ones.
-        value, mult, products, product, parts, m, denom = levels.pop()
+        value, mult, parts = levels.pop()
         rest += value
         if mult > 1:
             mult -= 1
-            levels.append((value, mult, products, product, parts, m, denom))
-            product = products[mult - 1]
+            levels.append((value, mult, parts))
             parts += byte[value] * mult
-            m += mult
-            denom *= fact[mult]
         value -= 1
 
 
@@ -204,8 +265,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     number of items equals ``count_partitions(n)``.
     """
     n = _checked_size(n, 1, ENUMERATION_CAP, "enumerate_partitions")
-    ones = [1.0] * (n + 1)
-    return (Partition._trusted(tuple(parts), n) for _, parts, _ in _partition_profiles(n, ones))
+    return (Partition._trusted(tuple(parts), n) for parts in _partition_labels(n))
 
 
 def state_count(partition: Partition) -> int:

@@ -38,7 +38,7 @@ from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, filterfalse, islice, repeat
-from operator import add, index, itemgetter, le, mul, sub
+from operator import add, index, le, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .apparatus import _cos_sq
@@ -48,7 +48,7 @@ from .partitions import (
     CapacityError,
     Partition,
     _checked_size,
-    _partition_profiles,
+    _partition_columns,
     asymptotic_log2_p,
 )
 
@@ -411,37 +411,33 @@ def _mirrored(half: list, n: int) -> list:
     return half + half[n - len(half)::-1]
 
 
-def _partition_report(n: int, rows: Iterable[tuple[float, bytes, int]]) -> SpectrumReport:
-    """The one place a quantum class list is assembled, from one
-    ``(intensity, parts, count)`` row per partition of n, its parts as bytes,
-    in any order. ``rows`` may be any iterable; it is read once, never changed.
+def _partition_report(n: int, intensities: Sequence[float], labels: Sequence[bytes],
+                      counts: Sequence[int]) -> SpectrumReport:
+    """The one place a quantum class list is assembled, from three columns
+    with one entry per partition of n: its intensity, its parts as bytes and
+    its count, in any order. The columns are read, never changed.
 
-    The rows are read ``_READ_BLOCK`` at a time into three lists, so no row
-    outlives its block, and checked (count in 1..2^n, intensity nonnegative
-    and not NaN) before any object is built. One stable argsort of the
-    intensities puts the lists brightest first. On the walk's rows this is the
-    order of ``sorted(rows, reverse=True)``: a stable sort keeps tied rows in
-    input order, and the walk yields descending parts. Only rows within the
-    merge window of a sorted neighbour (see ``_MERGE_WINDOW``) can share an
-    intensity; these candidates are grouped in one pass by exact value
-    (``_exact.exact_key``), so every merge is a proven identity. A group's
-    first (brightest) row takes the group's summed count and the others'
-    counts become 0, and are dropped. A merged class keeps its brightest
-    member's float but is labelled by the lexicographically smallest member
-    partition, so the label never depends on which member's float happens to
-    round higher; ``merges`` lists the other members brightest first. No
-    ``IntensityClass`` is made: the intensities become one ``array('d')``,
+    They are checked (count in 1..2^n, intensity nonnegative and not NaN)
+    before any object is built. One stable argsort of the intensities puts
+    them brightest first. Only entries within the merge window of a sorted
+    neighbour (see ``_MERGE_WINDOW``) can share an intensity; these
+    candidates are grouped in one pass by exact value (``_exact.exact_key``),
+    so every merge is a proven identity. A group's first (brightest) entry
+    takes the group's summed count and the others' counts become 0, and are
+    dropped. A merged class keeps its brightest member's float but is
+    labelled by the lexicographically smallest member partition, so the
+    label never depends on which member's float happens to round higher;
+    ``merges`` lists the other members by (-intensity, label).
+
+    The order the columns come in does not change the report: the argsort
+    keeps entries of equal float in input order, but for n <= 64 no two
+    distinct classes of the walk share a float (the nearest are 4.76e-13
+    apart), and a merged class does not depend on the order of its members.
+
+    No ``IntensityClass`` is made: the intensities become one ``array('d')``,
     the counts go through ``_count_column``, which also gives the entropy,
     and the labels are packed into one ``_PackedLabels`` buffer.
     """
-    intensities, labels, counts = [], [], []
-    rows = iter(rows)
-    # three maps, not zip(*block): zip makes an iterator per row, which set off
-    # full collections over the growing lists (n = 64 read in 2.6 s, not 2.0)
-    for block in iter(lambda: list(islice(rows, _READ_BLOCK)), []):
-        intensities += map(itemgetter(0), block)
-        labels += map(itemgetter(1), block)
-        counts += map(itemgetter(2), block)
     total = 1 << n
     if not (1 <= min(counts) and max(counts) <= total
             and all(map((0.0).__le__, intensities))):  # NaN fails it too
@@ -496,19 +492,20 @@ def quantum_spectrum(n: int) -> SpectrumReport:
     """Detector spectrum of the n-slot chain over all 2^n configurations.
 
     Walks the partitions of n instead of the configurations: each partition
-    contributes one row, its intensity a prefix product of squared cosines
-    kept by the walk (the factors are the table that ``quantum_intensity``
-    reads) and its count the number of configurations with that gap
-    multiset, so the cost is p(n), not 2^n. Partitions of
-    exactly equal intensity are merged into one class, each merge proven by
-    exact arithmetic (see the module notes on collisions).
+    contributes one entry to each of three columns, its intensity a product
+    of squared cosines carried down the walk's buckets (the factors are the
+    table that ``quantum_intensity`` reads), its label and its count, the
+    number of configurations with that gap multiset, so the cost is p(n),
+    not 2^n. Partitions of exactly equal intensity are merged into one class,
+    each merge proven by exact arithmetic (see the module notes on
+    collisions).
     """
     n = _checked_size(n, 1, ENUMERATION_CAP, "quantum_spectrum")
     cached = _quantum_cache.get(n)
     if cached is not None:
         return cached
 
-    report = _partition_report(n, _partition_profiles(n, _cos_sq(n)))
+    report = _partition_report(n, *_partition_columns(n, _cos_sq(n)))
     if n <= _QUANTUM_CACHE_MAX_N:
         _quantum_cache[n] = report
     return report
@@ -563,10 +560,11 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
     block at a time over the tree of slot choices (:func:`_config_blocks`; a
     test pins every intensity bit for bit to :func:`simulate_intensity` and
     every label to :func:`gaps`). Only the exact merge rule is shared, on
-    purpose: the 2^n results become one row per partition (brightest float,
-    configuration count), assembled like the fast path's rows, so the two
-    must agree class for class. The oracle's floats stay within a relative
-    3e-15 of the fast path's (measured to n = 16), far inside the merge window.
+    purpose: the 2^n results become one entry per partition (brightest float,
+    label, configuration count) in three columns, assembled like the fast
+    path's, so the two must agree class for class. The oracle's floats stay
+    within a relative 3e-15 of the fast path's (measured to n = 16), far
+    inside the merge window.
     """
     n = _checked_size(n, 1, BRUTE_FORCE_CAP, "brute_force_spectrum")
     counts: Counter[int] = Counter()
@@ -580,8 +578,9 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
         for key, intensity in block.items():  # so each key keeps its brightest float
             if intensity > brightest.get(key, 0.0):
                 brightest[key] = intensity
-    return _partition_report(
-        n, ((brightest.get(key, 0.0), _key_parts(n, key), count) for key, count in counts.items()))
+    keys = list(counts)
+    return _partition_report(n, list(map(brightest.get, keys, repeat(0.0))),
+                             list(map(_key_parts, repeat(n), keys)), list(counts.values()))
 
 
 def classical_spectrum(n: int, alpha: float = DEFAULT_ALPHA) -> SpectrumReport:

@@ -14,7 +14,7 @@ from zenochain.apparatus import (
     simulate_intensity,
     zeno_survival,
 )
-from zenochain.partitions import ENUMERATION_CAP, _partition_profiles
+from zenochain.partitions import ENUMERATION_CAP, _partition_columns
 from zenochain.spectrum import brute_force_spectrum
 
 # exact transmitted intensities for every 3-slot configuration, in
@@ -273,9 +273,9 @@ def test_quantum_spectrum_weights_are_the_memo_table(monkeypatch):
 
     def recording_walk(n, weights):
         seen.append(weights)
-        return _partition_profiles(n, weights)
+        return _partition_columns(n, weights)
 
-    monkeypatch.setattr(spectrum, "_partition_profiles", recording_walk)
+    monkeypatch.setattr(spectrum, "_partition_columns", recording_walk)
     monkeypatch.setattr(spectrum, "_quantum_cache", {})
     for n in (1, 7, 40):
         spectrum.quantum_spectrum(n)

@@ -12,7 +12,8 @@ from zenochain.partitions import (
     ENUMERATION_CAP,
     CapacityError,
     Partition,
-    _partition_profiles,
+    _partition_columns,
+    _partition_labels,
     asymptotic_log2_p,
     count_partitions,
     enumerate_partitions,
@@ -176,9 +177,11 @@ def _cos_sq(n):
 
 @pytest.mark.parametrize("n", range(1, 16))
 def test_profiles_agree_with_state_count(n):
-    # the walker accumulates orderings incrementally; state_count recomputes
-    # the multinomial from scratch
-    for _, parts, count in _partition_profiles(n, _ones(n)):
+    # the walker divides by the multiplicities' factorials carried down each
+    # bucket; state_count recomputes the multinomial from scratch
+    _, labels, counts = _partition_columns(n, _ones(n))
+    assert len(labels) == len(counts) == count_partitions(n)
+    for parts, count in zip(labels, counts):
         assert count == state_count(Partition(parts))
 
 
@@ -186,7 +189,7 @@ def test_profiles_random_spot_checks():
     rng = random.Random(20260817)
     for _ in range(50):
         n = rng.randint(20, 36)
-        profiles = list(_partition_profiles(n, _ones(n)))
+        profiles = list(zip(*_partition_columns(n, _ones(n))))
         assert len(profiles) == count_partitions(n)
         _, parts, count = profiles[rng.randrange(len(profiles))]
         assert count == state_count(Partition(parts))
@@ -194,13 +197,13 @@ def test_profiles_random_spot_checks():
 
 @pytest.mark.parametrize("n", [*range(1, 31), 45])
 def test_profiles_prefix_product_is_bit_exact(n):
-    # the walk carries the product down as a prefix; it must have the bits
+    # the walk carries the product down each bucket; it must have the bits
     # of the product taken over each partition's parts from scratch, for the
     # weights quantum_spectrum uses and for arbitrary ones
     rng = random.Random(n)
     for weights in (_cos_sq(n), [rng.uniform(0.1, 3.0) for _ in range(n + 1)]):
         seen = 0
-        for product, parts, _ in _partition_profiles(n, weights):
+        for product, parts, _ in zip(*_partition_columns(n, weights)):
             expected = 1.0
             for g in parts:
                 expected *= weights[g]
@@ -209,12 +212,30 @@ def test_profiles_prefix_product_is_bit_exact(n):
         assert seen == count_partitions(n)
 
 
+@pytest.mark.parametrize("n", [*range(1, 31), 45])
+def test_column_walk_labels_are_the_partitions(n):
+    # the bucket walk and the depth-first walk share no code: the labels of
+    # the one are those of the other, each partition exactly once
+    labels = _partition_columns(n, _ones(n))[1]
+    assert len(labels) == count_partitions(n)
+    assert set(labels) == {bytes(p.parts) for p in enumerate_partitions(n)}
+
+
+def test_column_walk_shares_one_int_per_count():
+    # counts are shared as they are made, so the column holds one int object
+    # per distinct count (980 among the 26,015 partitions of 38)
+    counts = _partition_columns(38, _cos_sq(38))[2]
+    assert len(counts) == count_partitions(38)
+    assert len(set(map(id, counts))) == len(set(counts)) == 980
+
+
 def test_profiles_walk_is_lazy():
-    # the walk yields one row at a time: draining its 204,226 rows at n = 50
-    # must never hold them all at once, as a list of them would (54 MiB)
+    # the depth-first walk yields one label at a time: draining its 204,226
+    # labels at n = 50 must never hold them all at once, as a list of them
+    # would (10.8 MiB)
     tracemalloc.start()
     try:
-        deque(_partition_profiles(50, _ones(50)), maxlen=0)
+        deque(_partition_labels(50), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +22,7 @@ from zenochain.partitions import (
     ENUMERATION_CAP,
     CapacityError,
     Partition,
-    _partition_profiles,
+    _partition_columns,
     count_partitions,
     enumerate_partitions,
     state_count,
@@ -284,7 +285,7 @@ def _candidate_runs(n):
     for g in range(1, n):
         c = math.cos(g * math.pi / (2.0 * n))
         cos_sq[g] = c * c
-    rows = sorted(_partition_profiles(n, cos_sq), reverse=True)
+    rows = sorted(zip(*_partition_columns(n, cos_sq)), reverse=True)
     runs = []
     for above, row in zip(rows, rows[1:]):
         if above[0] - row[0] <= spectrum._MERGE_WINDOW * above[0]:
@@ -352,8 +353,8 @@ def test_exact_arithmetic_loaded_only_for_candidate_runs():
 
 def test_partition_report_checks_rows_before_building(monkeypatch):
     n = 4
-    good = [(1.0, (1, 1, 1, 1), 2), (0.25, (2, 2), 2), (0.5, (2, 1, 1), 6),
-            (0.1, (3, 1), 4), (0.0, (4,), 2)]
+    good = [(1.0, b"\1\1\1\1", 2), (0.25, b"\2\2", 2), (0.5, b"\2\1\1", 6),
+            (0.1, b"\3\1", 4), (0.0, b"\4", 2)]
 
     def forbidden(*args):
         raise AssertionError("an object was built before the rows were checked")
@@ -361,15 +362,15 @@ def test_partition_report_checks_rows_before_building(monkeypatch):
     monkeypatch.setattr(spectrum, "_trusted", forbidden)
     monkeypatch.setattr(Partition, "_trusted", classmethod(forbidden))
     for bad, message in (
-        ((0.3, (3, 1), 0), "count must lie in 1..16, got 0"),
-        ((-0.3, (3, 1), 4), "intensity must be nonnegative, got -0.3"),
-        ((math.nan, (3, 1), 4), "intensity must be nonnegative, got nan"),
+        ((0.3, b"\3\1", 0), "count must lie in 1..16, got 0"),
+        ((-0.3, b"\3\1", 4), "intensity must be nonnegative, got -0.3"),
+        ((math.nan, b"\3\1", 4), "intensity must be nonnegative, got nan"),
     ):
-        rows = good[:3] + [bad] + good[4:]
-        before = list(rows)
+        columns = [list(column) for column in zip(*good[:3], bad, *good[4:])]
+        before = [list(column) for column in columns]
         with pytest.raises(ValueError, match=message):
-            spectrum._partition_report(n, rows)
-        assert rows == before  # not sorted either
+            spectrum._partition_report(n, *columns)
+        assert columns == before  # not sorted either
 
 
 @pytest.mark.parametrize("n", [15, 30, 42, 45, 60])
@@ -381,7 +382,7 @@ def test_report_order_is_the_row_sort_at_merge_sizes(n):
     assert report.merges
     kept = {bytes(absorbed.parts): bytes(label.parts) for label, absorbed in report.merges}
     at, expected = {}, []
-    for intensity, parts, count in sorted(_partition_profiles(n, spectrum._cos_sq(n)),
+    for intensity, parts, count in sorted(zip(*_partition_columns(n, spectrum._cos_sq(n))),
                                           reverse=True):
         label = kept.get(parts, parts)
         if label in at:
@@ -397,15 +398,20 @@ def test_report_order_is_the_row_sort_at_merge_sizes(n):
 
 
 def test_partition_report_reads_its_rows_once_and_leaves_them_alone():
-    # a one-shot iterator is read once; a caller's row list is neither
-    # sorted nor emptied, and still builds the same report again
+    # a caller's columns are neither sorted nor emptied, and build the same
+    # report again; any sequences do, and so do the rows in any order
     n = 15
-    rows = list(_partition_profiles(n, spectrum._cos_sq(n)))
-    before = list(rows)
-    from_iterator = spectrum._partition_report(n, iter(rows))
-    from_list = spectrum._partition_report(n, rows)
-    assert rows == before
-    assert from_iterator == from_list == quantum_spectrum(n)  # merges included
+    columns = _partition_columns(n, spectrum._cos_sq(n))
+    before = [list(column) for column in columns]
+    from_lists = spectrum._partition_report(n, *columns)
+    assert list(columns) == before
+    from_tuples = spectrum._partition_report(n, *map(tuple, columns))
+    rows = list(zip(*columns))
+    random.Random(n).shuffle(rows)
+    shuffled = spectrum._partition_report(n, *map(list, zip(*rows)))
+    backwards = spectrum._partition_report(n, *(column[::-1] for column in columns))
+    assert list(columns) == before
+    assert from_lists == from_tuples == shuffled == backwards == quantum_spectrum(n)  # merges too
 
 
 def test_merged_row_keeps_its_place_among_interleaved_classes():
@@ -416,13 +422,14 @@ def test_merged_row_keeps_its_place_among_interleaved_classes():
     for g in range(1, n):
         c = math.cos(g * math.pi / (2.0 * n))
         cos_sq[g] = c * c
-    rows = list(_partition_profiles(n, cos_sq))
+    # rows of one float keep their input order: take them reverse-lexicographically
+    rows = sorted(zip(*_partition_columns(n, cos_sq)), key=lambda row: row[1], reverse=True)
     common = _float_intensity(n, (8, 4, 2, 1))
     tied = {bytes((8, 4, 2, 1)), bytes((7, 6, 1, 1)), bytes((7, 7, 1))}
     rows = [(common, parts, count) if parts in tied else (value, parts, count)
             for value, parts, count in rows]
     counts = {tuple(parts): count for _, parts, count in rows}
-    report = spectrum._partition_report(n, rows)
+    report = spectrum._partition_report(n, *map(list, zip(*rows)))
     labels = [c.label.parts for c in report.classes]
     at = labels.index((7, 6, 1, 1))
     assert labels[at + 1] == (7, 7, 1)
@@ -594,11 +601,9 @@ def test_quantum_report_holds_its_columns_compactly():
 
 
 def test_quantum_build_holds_no_label_twice():
-    # the build reads the walk's rows a block at a time into three lists, so
-    # no row tuple outlives its block, and packs the sorted labels once the
-    # argsort's index list and the unsorted lists are gone. Traced at n = 50:
-    # 36.0 MiB on 3.11 and 3.13. Holding every row while the labels are
-    # packed takes 42.9 MiB, above the bound.
+    # the walk frees each bucket once read and makes no row tuple, and the
+    # build packs the sorted labels once the argsort's index list is gone.
+    # Traced at n = 50: 31.9 MiB on 3.11 and 29.8 MiB on 3.13.
     n = 50
     spectrum._cos_sq(n)  # the memoized table, held beyond the build
     gc.collect()
@@ -751,9 +756,9 @@ def test_collector_left_off_when_caller_disabled_it(build, monkeypatch, collecto
 
 def test_collector_restored_when_build_raises(monkeypatch):
     def nan_walk(n, cos_sq):
-        yield (math.nan, (n,), 1)
+        return [math.nan], [bytes((n,))], [1]
 
-    monkeypatch.setattr(spectrum, "_partition_profiles", nan_walk)
+    monkeypatch.setattr(spectrum, "_partition_columns", nan_walk)
     assert gc.isenabled()
     with pytest.raises(ValueError, match="intensity must be nonnegative, got nan"):
         quantum_spectrum(40)
