@@ -28,6 +28,7 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 from . import apparatus, partitions, spectrum
+from .partitions import _BLOCK
 
 __all__ = [
     "OutputSpec",
@@ -69,7 +70,6 @@ def _fmt(x: float, precision: int) -> str:
 # call per cell costs more than the formatting. _SEP joins a table block's column
 # until the widths are known, and ends each label of a block of partitions decoded
 # as one text.
-_BLOCK = 1024
 _SEP = "\x1f"
 
 

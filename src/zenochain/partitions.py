@@ -52,7 +52,9 @@ _FACTORIALS = [math.factorial(i) for i in range(ENUMERATION_CAP + 1)]
 _TWICE_FACTORIALS = [2 * f for f in _FACTORIALS]
 _BYTES = [bytes((value,)) for value in range(ENUMERATION_CAP + 1)]
 
-# The column walk updates its product column in place this many at a time.
+# Every block-at-a-time pass, here and in spectrum and cli, takes this many
+# rows a step. The column walk updates its product column in place this many
+# at a time, so the column is never held twice.
 _BLOCK = 1024
 
 

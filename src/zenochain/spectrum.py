@@ -16,7 +16,7 @@ could not tell apart, and never lose two it could.
 
 A report's ``classes`` is a read-only sequence, not a tuple: it keeps three
 columns and makes an ordinary ``IntensityClass`` only when an element is
-read. The partition labels are packed into one ``bytes`` buffer (see
+read. The partition labels are packed 1,024 to a ``bytes`` block (see
 ``_PackedLabels``), the intensities are one ``array('d')`` of raw doubles,
 and the counts a tuple that holds one int object per distinct count, shared
 by every class with that count (8,341 distinct among the 1,741,630 classes
@@ -37,12 +37,13 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, filterfalse, islice, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from operator import add, index, le, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .apparatus import _cos_sq
 from .partitions import (
+    _BLOCK,
     COUNT_CAP,
     ENUMERATION_CAP,
     CapacityError,
@@ -158,11 +159,6 @@ class IntensityClass:
         return self.count / self.total
 
 
-# Iteration makes the classes of this many rows at a time, and a packed label
-# column keeps the buffer offset of every label this many apart.
-_READ_BLOCK = 1024
-
-
 def _spelled(parts: Sequence[int]) -> bytes | tuple[int, ...]:
     """A partition label as ``_columns`` reads it off a class: the ``bytes``
     of its parts, or their tuple when a part is 256 or more (only a report
@@ -170,33 +166,29 @@ def _spelled(parts: Sequence[int]) -> bytes | tuple[int, ...]:
     return bytes(parts) if parts[0] < 256 else tuple(parts)
 
 
+# Iteration makes the classes of _BLOCK rows at a time, and a packed label
+# column keeps its labels in blocks of _BLOCK: a read splits one block, never
+# the whole column.
 class _PackedLabels(Sequence):
-    """A quantum label column: every label's parts in one ``bytes`` buffer,
-    each label ended by ``b"\\0"`` (no part is 0), and the buffer offset of
-    every ``_READ_BLOCK``-th label, the buffer's length last. A label is read
-    by splitting its block's slice of the buffer: an index splits it from
-    the nearer end up to the label, iteration one block at a time, and a
-    slice the blocks it spans (giving a tuple). No label object is held.
-    Equal to another packed column with the same labels, and to the tuple of
-    its labels.
+    """A quantum label column: a tuple of ``bytes`` blocks, each the parts of
+    ``_BLOCK`` labels (the last block may hold fewer) joined by ``b"\\0"``
+    (no part is 0). A label is read by splitting its block: an index splits
+    it from the nearer end up to the label, iteration one block at a time,
+    and a slice the blocks it spans (giving a tuple). No label object is
+    held. Equal to another packed column with the same labels, and to the
+    tuple of its labels.
 
-    Built from any iterable of ``bytes`` labels, read and packed
-    ``_READ_BLOCK`` at a time.
+    Built from any iterable of ``bytes`` labels, read and joined ``_BLOCK``
+    at a time.
     """
 
-    __slots__ = ("_size", "_buffer", "_starts")
+    __slots__ = ("_size", "_blocks")
 
     def __init__(self, labels: Iterable[bytes]) -> None:
         labels = iter(labels)
-        blocks = iter(lambda: list(islice(labels, _READ_BLOCK)), [])
-        chunks = [b"\0".join([*block, b""]) for block in blocks]
-        self._size = (len(chunks) - 1) * _READ_BLOCK + chunks[-1].count(0) if chunks else 0
-        self._starts = tuple(accumulate(map(len, chunks), initial=0))
-        self._buffer = b"".join(chunks)
-
-    def _split(self, first: int, stop: int) -> list[bytes]:
-        """The labels of blocks ``first`` up to ``stop``."""
-        return self._buffer[self._starts[first]:self._starts[stop] - 1].split(b"\0")
+        blocks = iter(lambda: list(islice(labels, _BLOCK)), [])
+        blocks = self._blocks = tuple(map(b"\0".join, blocks))
+        self._size = (len(blocks) - 1) * _BLOCK + blocks[-1].count(0) + 1 if blocks else 0
 
     def __len__(self) -> int:
         return self._size
@@ -206,26 +198,26 @@ class _PackedLabels(Sequence):
             picked = range(self._size)[i]
             if not picked:
                 return ()
-            first = min(picked[0], picked[-1]) // _READ_BLOCK
-            labels = self._split(first, max(picked[0], picked[-1]) // _READ_BLOCK + 1)
-            start, stop = picked.start - first * _READ_BLOCK, picked.stop - first * _READ_BLOCK
+            first = min(picked[0], picked[-1]) // _BLOCK
+            last = max(picked[0], picked[-1]) // _BLOCK
+            labels = b"\0".join(self._blocks[first:last + 1]).split(b"\0")
+            start, stop = picked.start - first * _BLOCK, picked.stop - first * _BLOCK
             # a negative stop (a step down past the first label split) is None in a list slice
             return tuple(labels[start:stop if stop >= 0 else None:picked.step])
         at = range(self._size)[i]  # an int or __index__ object, IndexError when out of range
-        block, k = divmod(at, _READ_BLOCK)
-        labels = self._buffer[self._starts[block]:self._starts[block + 1] - 1]
-        after = min(self._size - block * _READ_BLOCK, _READ_BLOCK) - 1 - k
+        block, k = divmod(at, _BLOCK)
+        labels = self._blocks[block]
+        after = min(self._size - block * _BLOCK, _BLOCK) - 1 - k
         # split from the nearer end of the block (k labels before, after ones
         # after), and only up to the label
         return labels.split(b"\0", k + 1)[k] if k <= after else labels.rsplit(b"\0", after + 1)[1]
 
     def __iter__(self) -> Iterator[bytes]:
-        blocks = len(self._starts) - 1
-        return chain.from_iterable(map(self._split, range(blocks), range(1, blocks + 1)))
+        return chain.from_iterable(map(bytes.split, self._blocks, repeat(b"\0")))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _PackedLabels):
-            return self._buffer == other._buffer
+            return self._blocks == other._blocks
         if isinstance(other, tuple):
             return len(self) == len(other) and tuple(self) == other
         return NotImplemented
@@ -234,19 +226,19 @@ class _PackedLabels(Sequence):
 class _ClassColumns(Sequence):
     """The ``classes`` of a built report: a read-only sequence over three
     columns, one entry per class. A label is the bytes of the parts of a
-    partition of ``n`` (quantum), all of them held in one ``_PackedLabels``
-    buffer, or an int k (classical), held in a tuple. Bytes sort like the
-    parts tuples. The intensities are an ``array('d')``, 8 bytes a class, and
-    the counts a tuple sharing one int object per distinct count (see
-    ``_count_column``). A pickle holds the labels as a tuple of bytes (or of
-    parts tuples, as older versions wrote them), which is packed, and the
-    intensities as a tuple, which becomes an array, its counts shared the
-    same way.
+    partition of ``n`` (quantum), all of them held in the blocks of one
+    ``_PackedLabels``, or an int k (classical), held in a tuple. Bytes sort
+    like the parts tuples. The intensities are an ``array('d')``, 8 bytes a
+    class, and the counts a tuple sharing one int object per distinct count
+    (see ``_count_column``). A pickle holds the labels as a tuple of bytes
+    (or of parts tuples, as older versions wrote them), which is packed, and
+    the intensities as a tuple, which becomes an array, its counts shared
+    the same way.
 
     An element is an ordinary :class:`IntensityClass` (its label a
     ``Partition`` of a parts tuple for a quantum column), made by
     ``_trusted`` when it is read: an index gives one, a slice a tuple of
-    them, and iteration, ``reversed`` and ``index`` read ``_READ_BLOCK`` at
+    them, and iteration, ``reversed`` and ``index`` read ``_BLOCK`` at
     a time. None of them is kept. Equal to another such sequence with the
     same ``n`` and columns, and to the tuple of its elements, whose hash and
     repr it has.
@@ -284,20 +276,20 @@ class _ClassColumns(Sequence):
 
     def __iter__(self) -> Iterator[IntensityClass]:
         size = len(self)
-        stops = range(_READ_BLOCK, size + _READ_BLOCK, _READ_BLOCK)
-        blocks = map(slice, range(0, size, _READ_BLOCK), stops)
+        stops = range(_BLOCK, size + _BLOCK, _BLOCK)
+        blocks = map(slice, range(0, size, _BLOCK), stops)
         return chain.from_iterable(map(self.__getitem__, blocks))
 
     # Sequence's reversed and index read one element a step, which costs a
     # label block's split; these read a block a step.
     def __reversed__(self) -> Iterator[IntensityClass]:
-        tops = range(len(self), 0, -_READ_BLOCK)
-        return chain.from_iterable(self[max(top - _READ_BLOCK, 0):top][::-1] for top in tops)
+        tops = range(len(self), 0, -_BLOCK)
+        return chain.from_iterable(self[max(top - _BLOCK, 0):top][::-1] for top in tops)
 
     def index(self, value: object, start: int = 0, stop: int | None = None) -> int:
         lo, hi, _ = slice(start, stop).indices(len(self))
-        for first in range(lo, hi, _READ_BLOCK):
-            block = self[first:min(first + _READ_BLOCK, hi)]
+        for first in range(lo, hi, _BLOCK):
+            block = self[first:min(first + _BLOCK, hi)]
             if value in block:
                 return first + block.index(value)
         raise ValueError(f"{value!r} is not in the classes")
@@ -436,7 +428,7 @@ def _partition_report(n: int, intensities: Sequence[float], labels: Sequence[byt
 
     No ``IntensityClass`` is made: the intensities become one ``array('d')``,
     the counts go through ``_count_column``, which also gives the entropy,
-    and the labels are packed into one ``_PackedLabels`` buffer.
+    and the labels are packed a block at a time into one ``_PackedLabels``.
     """
     total = 1 << n
     if not (1 <= min(counts) and max(counts) <= total
