@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import sys
+from array import array
 from dataclasses import astuple, dataclass
 from json.encoder import encode_basestring_ascii
 from operator import index, truediv
@@ -73,13 +74,28 @@ def _fmt(x: float, precision: int) -> str:
 _SEP = "\x1f"
 
 
+class _Coded:
+    """A dictionary-coded column for ``_render``: row i holds ``values[codes[i]]``.
+
+    ``values`` is a list of distinct cells of one type, ``codes`` an iterable
+    of ints indexing it, read once. The renderer converts each value once and
+    spells a row by looking its code up.
+    """
+
+    __slots__ = ("values", "codes")
+
+    def __init__(self, values: list, codes: Iterable[int]) -> None:
+        self.values = values
+        self.codes = codes
+
+
 def _render(
     out: OutputSpec,
     headers: Sequence[str],
-    columns: Sequence[Iterable[object]],
+    columns: Sequence[Iterable[object] | _Coded],
     key: str = "rows",
     lead: Sequence[tuple[str, object]] = (),
-    tail: Sequence[tuple[str, Sequence[str], Sequence[Iterable[object]]]] = (),
+    tail: Sequence[tuple[str, Sequence[str], Sequence[Iterable[object] | _Coded]]] = (),
     footers: Sequence[str] = (),
 ) -> Iterator[str]:
     """Yield typed columns rendered in ``out.format``, in chunks of up to ``_BLOCK`` rows.
@@ -89,21 +105,24 @@ def _render(
     ints and strings print as ``str``, floats at ``out.precision`` significant
     digits (a number rounded the same way in JSON), a partition as the bytes
     of its parts, ``8+4+2+1`` (a list of parts in JSON). A column of any other
-    type (a bool, say), or of more than one, raises ``TypeError``.
+    type (a bool, say), or of more than one, raises ``TypeError``. A column
+    may also be a ``_Coded`` one, for cells that repeat: its distinct values
+    are checked and converted once, as one column, and each block of its
+    codes is mapped through their texts.
     ``lead`` fields become ``# key=value`` lines in CSV and the leading keys
     in JSON, each value converted as a column of one cell. JSON lists the
     rows under ``key``, then each ``(name, headers, columns)`` table of
     ``tail``. ``footers`` are lines appended to the table format only.
 
     JSON has the layout and spellings of ``json.dumps(..., indent=2)`` of the
-    same document. Each column is read once, ``_BLOCK`` cells at a time, and
-    each block of it converted by one map. CSV and JSON hold one block; the
-    table holds each block's columns as joined text until it knows the widths.
+    same document. Each column is read once, ``_BLOCK`` cells (or codes) at a
+    time, and each block of it converted by one map. CSV and JSON hold one
+    block; until it knows the widths, the table holds each block's plain
+    columns as joined text and its coded ones as lists of their shared texts.
     """
     spec = f".{out.precision}g"
-    fmt = ("{:" + spec + "}").format  # format(x, spec) for a float x
     as_json = out.format == "json"
-    by_kind = {float: fmt, int: int.__repr__, str: encode_basestring_ascii if as_json else str}
+    by_kind = {int: int.__repr__, str: encode_basestring_ascii if as_json else str}
     glue = ",\n        " if as_json else "+"  # between a partition's parts
     spell = (_SEP, *(glue + str(v) for v in range(1, 256)))  # a part's byte, or a label's end
 
@@ -115,8 +134,10 @@ def _render(
             text = codecs.charmap_decode(b"\0".join(column), "strict", spell)[0]
             labels = text[len(glue):].split(_SEP + glue)
             return list(map("[\n        {}\n      ]".format, labels) if as_json else labels)
-        if kind is float and as_json:
-            texts = list(map(fmt, column))
+        if kind is float:
+            texts = list(map(float.__format__, column, itertools.repeat(spec)))
+            if not as_json:
+                return texts
             joined = "".join(texts)
             # At most float_info.dig digits, one '.', no 'e+' and a normal float:
             # then the text is already the repr of the float it reads as.
@@ -131,11 +152,17 @@ def _render(
             raise TypeError(f"a column holds cells of one of bytes, float, int or str, got {names}")
         return list(map(by_kind[kind], column))
 
-    def blocks(table: Sequence[Iterable[object]]) -> Iterator[list[list[str]]]:
-        table = list(map(iter, table))
+    def blocks(table: Sequence[Iterable[object] | _Coded]) -> Iterator[list[list[str]]]:
+        coded = [type(column) is _Coded for column in table]
+        readers = []
+        for column, is_coded in zip(table, coded):
+            if is_coded:  # read as the texts of its codes, each distinct value converted once
+                spelled = convert(column.values) if column.values else []
+                column = map(spelled.__getitem__, column.codes)
+            readers.append(iter(column))
         first = None  # each column's type in its first block, which every block keeps
-        while (block := [list(itertools.islice(column, _BLOCK)) for column in table]) and block[0]:
-            texts = list(map(convert, block))
+        while (block := [list(itertools.islice(column, _BLOCK)) for column in readers]) and block[0]:
+            texts = [c if is_coded else convert(c) for c, is_coded in zip(block, coded)]
             kinds = [type(column[0]) for column in block]
             if kinds != (first := first or kinds):
                 raise TypeError(f"a column's cells change type: {first} then {kinds}")
@@ -180,10 +207,13 @@ def _render(
         return
     widths = list(map(len, headers))
     held = []
+    coded = [type(column) is _Coded for column in columns]
     for texts in blocks(columns):
         widths = [max(w, *map(len, column)) for w, column in zip(widths, texts)]
-        # Held joined only when the join's len(c) - 1 _SEP are all it holds: it splits back.
-        held.append([j if (j := _SEP.join(c)).count(_SEP) == len(c) - 1 else c for c in texts])
+        # A coded column's block is held as it is, a pointer a row to its shared texts;
+        # another is held joined when the join's len(c) - 1 _SEP are all it holds: it splits back.
+        held.append([c if is_coded or (j := _SEP.join(c)).count(_SEP) != len(c) - 1 else j
+                     for c, is_coded in zip(texts, coded)])
     line = "  ".join(f"{{:>{w}}}" for w in widths).format  # c.rjust(w) for each cell c
     yield line(*headers).rstrip() + "\n"
     for packed in held:
@@ -215,8 +245,18 @@ def cmd_spectrum(n: int, kind: str, alpha: float, out: OutputSpec) -> Iterator[s
     headers = ("label", "intensity", "count", "probability", "probability_float")
     # Read from the columns, a partition label as the bytes of its parts: no class object is made.
     labels, intensities, counts = spectrum._columns(report.classes)
-    columns = (labels, intensities, counts, map(f"{{}}/2^{report.n}".format, counts),
-               map(truediv, counts, itertools.repeat(1 << report.n)))
+    # A count takes few distinct values (980 among the 26,015 classes of n = 38), so the
+    # three columns derived from it are coded: each distinct count is spelled once, and
+    # one array of codes, each its count's place among the distinct ones, is read by all
+    # three. Two bytes a code hold every spectrum's (at most 8,341 distinct, at n = 64).
+    distinct = dict.fromkeys(counts)
+    for code, count in enumerate(distinct):
+        distinct[count] = code
+    codes = array("H" if len(distinct) <= 1 << 16 else "I", map(distinct.__getitem__, counts))
+    values = list(distinct)
+    columns = (labels, intensities, _Coded(values, codes),
+               _Coded(list(map(f"{{}}/2^{report.n}".format, values)), codes),
+               _Coded(list(map(truediv, values, itertools.repeat(1 << report.n))), codes))
     lead = [
         ("n", report.n),
         ("kind", report.kind),

@@ -236,12 +236,12 @@ class _ClassColumns(Sequence):
     the same way.
 
     An element is an ordinary :class:`IntensityClass` (its label a
-    ``Partition`` of a parts tuple for a quantum column), made by
-    ``_trusted`` when it is read: an index gives one, a slice a tuple of
-    them, and iteration, ``reversed`` and ``index`` read ``_BLOCK`` at
-    a time. None of them is kept. Equal to another such sequence with the
-    same ``n`` and columns, and to the tuple of its elements, whose hash and
-    repr it has.
+    ``Partition`` of a parts tuple for a quantum column), made when it is
+    read: an index builds its one class directly, a slice a tuple of them
+    by ``_trusted``, and iteration, ``reversed`` and ``index`` read
+    ``_BLOCK`` at a time. None of them is kept. Equal to another such
+    sequence with the same ``n`` and columns, and to the tuple of its
+    elements, whose hash and repr it has.
     """
 
     __slots__ = ("_n", "_labels", "_intensities", "_counts")
@@ -272,7 +272,10 @@ class _ClassColumns(Sequence):
     def __getitem__(self, i: int | slice):
         if isinstance(i, slice):
             return self._objects(self._labels[i], self._intensities[i], self._counts[i])
-        return self._objects((self._labels[i],), (self._intensities[i],), (self._counts[i],))[0]
+        label = self._labels[i]  # IndexError when out of range
+        if type(label) is not int:
+            label = Partition._trusted(tuple(label), self._n)
+        return IntensityClass(label, self._intensities[i], self._counts[i], 1 << self._n)
 
     def __iter__(self) -> Iterator[IntensityClass]:
         size = len(self)

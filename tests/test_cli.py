@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -20,6 +21,7 @@ from zenochain.cli import (
     _BLOCK,
     _SEP,
     OutputSpec,
+    _Coded,
     _render,
     cmd_compare,
     cmd_partitions,
@@ -504,18 +506,81 @@ def odd_rows(count):
         )
 
 
+def coded(cells):
+    """``cells`` as a coded column: its distinct values in first-seen order, and an array of
+    codes. (0.0 and -0.0 would share one code; no column here holds both.)"""
+    numbers = {}
+    codes = array("I", (numbers.setdefault(cell, len(numbers)) for cell in cells))
+    return _Coded(list(numbers), codes)
+
+
+def render_matches_reference(fmt, precision, count, coding):
+    out = OutputSpec(format=fmt, precision=precision)
+    headers = ("label", "big{0}", "odd", "float", "int", "text")
+    more = [("q", 1.5), ("r", math.inf), ("q", 1.5)]
+    args = dict(key="rows", lead=[("n", 5), ("x", math.nan), ("s", "a,b")], footers=["end = 1"])
+    tail = [("empty", ("a",), list(map(coding, columns([], 1)))),
+            ("more", ("s", "v"), list(map(coding, columns(more, 2))))]
+    first, *rest = columns(odd_rows(count), len(headers))
+    text = "".join(_render(out, headers, [first, *map(coding, rest)], **args, tail=tail))
+    assert text == reference_render(out, headers, odd_rows(count), **args,
+                                    tail=[("empty", ("a",), []), ("more", ("s", "v"), more)])
+
+
 @pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK])
 @pytest.mark.parametrize("precision", [1, 6, 17])
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_render_matches_per_cell_reference(fmt, precision, count):
-    out = OutputSpec(format=fmt, precision=precision)
-    headers = ("label", "big{0}", "odd", "float", "int", "text")
-    more = [("q", 1.5), ("r", math.inf)]
-    args = dict(key="rows", lead=[("n", 5), ("x", math.nan), ("s", "a,b")], footers=["end = 1"])
-    tail = [("empty", ("a",), columns([], 1)), ("more", ("s", "v"), columns(more, 2))]
-    text = "".join(_render(out, headers, columns(odd_rows(count), len(headers)), **args, tail=tail))
-    assert text == reference_render(out, headers, odd_rows(count), **args,
-                                    tail=[("empty", ("a",), []), ("more", ("s", "v"), more)])
+    render_matches_reference(fmt, precision, count, tuple)
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK])
+@pytest.mark.parametrize("precision", [1, 6, 17])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_render_coded_columns_match_per_cell_reference(fmt, precision, count):
+    # Every column but the first coded: each renders as the column of its
+    # values looked up by code. Its distinct values hold the odd floats and
+    # big ints of every block, so JSON's float fast path is decided over them
+    # all (per block when plain); with no rows they are empty and never converted.
+    render_matches_reference(fmt, precision, count, coded)
+
+
+def wide_report():
+    # 65,538 classes of distinct counts, one more than two-byte codes can number
+    counts = [*range(1, 65538), 0]
+    counts[-1] = (1 << 32) - sum(counts)
+    classes = tuple(spectrum.IntensityClass(k, 1.0 / (k + 1), c, 1 << 32) for k, c in enumerate(counts))
+    return spectrum.SpectrumReport(32, "classical", classes, entropy_bits=0.0, bound_bits=16.0)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("n, kind, typecode", [(15, "quantum", "H"), (30, "quantum", "H"),
+                                               (300, "classical", "H"), (32, "wide", "I")])
+def test_spectrum_coded_columns_render_as_plain_ones(n, kind, typecode, fmt, monkeypatch):
+    # the spectrum's count-derived columns are coded; expanded into plain
+    # columns they give the same bytes (classical n = 300: counts of up to 297 bits)
+    if kind == "wide":
+        monkeypatch.setattr(spectrum, "classical_spectrum", lambda n, alpha: wide_report())
+        kind = "classical"
+    out = OutputSpec(format=fmt, precision=17)
+    text = "".join(cmd_spectrum(n, kind, 0.5, out))
+    typecodes = []
+
+    def expanded(values, codes):
+        typecodes.append(codes.typecode)
+        return list(map(values.__getitem__, codes))
+
+    monkeypatch.setattr("zenochain.cli._Coded", expanded)
+    assert text == "".join(cmd_spectrum(n, kind, 0.5, out))
+    assert typecodes == [typecode] * 3
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_render_rejects_coded_values_of_mixed_or_unknown_type(fmt):
+    out = OutputSpec(format=fmt)
+    for values in ([1, 2.0], [0.5, "x"], [bytes((1,)), 1], [True, False]):
+        with pytest.raises(TypeError):
+            "".join(_render(out, ("n", "v"), (range(4), _Coded(values, array("I", [0, 1, 1, 0])))))
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -535,21 +600,24 @@ def test_render_rejects_a_column_of_mixed_or_unknown_type(fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_render_streams_each_column_a_block_at_a_time(fmt):
     size = 3 * _BLOCK + 1
-    read = [0, 0, 0]
+    read = [0, 0, 0, 0]
 
     def counted(j, cells):
         for cell in cells:
             read[j] += 1
             yield cell
 
-    cells = (range(size), map(float, range(size)), map(str, range(size)))
-    chunks = _render(OutputSpec(format=fmt), ("n", "v", "s"), list(map(counted, range(3), cells)))
+    codes = array("I", (i % 3 for i in range(size)))
+    cells = (range(size), map(float, range(size)), map(str, range(size)), codes)
+    table = list(map(counted, range(4), cells))
+    table[3] = _Coded(["x", "y", "z"], table[3])  # its codes are read a block at a time too
+    chunks = _render(OutputSpec(format=fmt), ("n", "v", "s", "c"), table)
     next(chunks)  # the csv header line, or json's opening key
     first = next(chunks)
     assert first.count('"n": ' if fmt == "json" else "\n") == _BLOCK
     assert max(read) <= _BLOCK
     "".join(chunks)
-    assert read == [size] * 3
+    assert read == [size] * 4
 
 
 @pytest.mark.parametrize("cell", [",", '"', "\r", "\n", ""])
@@ -574,9 +642,11 @@ def test_render_json_floats_as_json_does(precision, value):
 def test_render_table_holds_no_cells(monkeypatch):
     # The table once held every row's cells to size its columns: a tuple and
     # five str objects per row, a 14 MiB peak at n = 40 (37,338 rows). It now
-    # holds each block's columns joined into one string each, less text than
-    # the padded output, plus the block in hand: about 3.3 MiB, below the
-    # 5.2 MB of its own output, which the cells exceeded almost threefold.
+    # holds each block's plain columns joined into one string each, less text
+    # than the padded output, and each block of a coded column (count and the
+    # probabilities) as its list of shared texts, plus the block in hand:
+    # 2.9 MiB (3.1 with the coded columns joined too), below the 5.2 MB of its
+    # own output, which the cells exceeded almost threefold.
     report = spectrum.quantum_spectrum(40)
     monkeypatch.setattr(spectrum, "quantum_spectrum", lambda n: report)
     chunks = cmd_spectrum(40, "quantum", 0.5, TABLE)

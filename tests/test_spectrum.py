@@ -515,6 +515,25 @@ def test_columnar_classes_index_and_slice_like_a_tuple(build):
     assert tuple(reversed(classes)) == expected[::-1]
 
 
+@pytest.mark.parametrize("n", [15, 30])
+def test_an_index_builds_the_class_a_tuple_holds(n):
+    # an int index builds its one Partition and IntensityClass directly, not
+    # through _trusted: the same objects, of the same types, as iteration's
+    classes = quantum_spectrum(n).classes
+    expected = tuple(classes)
+    size, block = len(expected), spectrum._BLOCK
+    edges = {0, 1, block - 1, block, block + 1, 2 * block - 1, 2 * block, size - 2, size - 1}
+    edges |= {-1, -2, -block, -block - 1, -size}
+    for i in sorted(i for i in edges if -size <= i < size):
+        cls, want = classes[i], expected[i]
+        assert cls == want and hash(cls) == hash(want) and repr(cls) == repr(want)
+        assert type(cls) is IntensityClass and type(cls.label) is Partition
+        assert type(cls.label.parts) is tuple and set(map(type, cls.label.parts)) == {int}
+        assert cls.label.n == n and type(cls.label.n) is int
+        assert type(cls.intensity) is float
+        assert type(cls.count) is int and type(cls.total) is int and cls.total == 1 << n
+
+
 def test_report_built_by_hand_past_a_byte():
     # a part of 256 or more cannot be a byte: such a label keeps its parts tuple
     r = SpectrumReport(n=300, kind="quantum",
@@ -730,8 +749,10 @@ def test_spectra_readers_and_cli_make_no_class_objects(made, capsys):
         assert cli.main(["spectrum", "--n", "30", "--format", fmt]) == 0
     assert capsys.readouterr().out
     assert made == []  # not a class, not a label
-    reports[0].classes[0]  # the spy does see a read
-    assert made == [Partition, IntensityClass]
+    reports[0].classes[0]  # the spy does see a read: an index builds its one class directly,
+    assert made == [IntensityClass]
+    reports[0].classes[:1]  # a slice through _trusted
+    assert made == [IntensityClass, Partition, IntensityClass]
 
 
 @pytest.fixture
