@@ -201,16 +201,14 @@ def zeno_survival(n: int) -> float:
 
     Frequent projection pins the polarization to the rotating frame, so the
     value climbs toward 1; it is bounded below by ``1 - pi^2 / (4n)`` for
-    every n >= 2. Exactly 0.0 at n = 1, where the single rotation reaches
-    vertical before the only analyzer. ``n`` is an integer
-    (``operator.index``): 2.0 and "2" raise TypeError.
+    every n >= 2. The factor is :func:`_cos_sq_entry` of gap 1, exactly 0.0
+    at n = 1, where the single rotation reaches vertical before the only
+    analyzer. ``n`` is an integer (``operator.index``): 2.0 and "2" raise
+    TypeError.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > sys.float_info.max:  # 2.0 * n below could not convert n
+    if n > sys.float_info.max:  # 2.0 * n in the factor could not convert n
         raise ValueError(f"n must be <= {sys.float_info.max:.6g}, the largest float")
-    if n == 1:
-        return 0.0
-    c = math.cos(math.pi / (2.0 * n))
-    return (c * c) ** n
+    return _cos_sq_entry(n, 1) ** n

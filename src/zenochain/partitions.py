@@ -172,9 +172,9 @@ def _partition_columns(
     copies of v to bucket r - k v. That bucket was taken at this v already,
     so no partial gets a second run of v. A child column is one C-level map
     over the whole parent bucket, the k-th copy's products made from the
-    (k - 1)-th's. Only buckets that hold something are taken, and bucket n
-    holds the empty partial alone, whose children are appended one by one.
-    Last, each bucket's rest is filled with ones.
+    (k - 1)-th's. Only buckets that hold something are taken; bucket n, which
+    holds the empty partial alone, is taken last at every v. Last, each
+    bucket's rest is filled with ones.
     """
     products = list(map(list, repeat((), n + 1)))
     labels = list(map(list, repeat((), n + 1)))
@@ -183,8 +183,8 @@ def _partition_columns(
     for value in range(n, 1, -1):
         weight, byte = weights[value], _BYTES[value]
         # bucket r < n holds partials once their parts, all above value, can
-        # sum to n - r: once n - r > value
-        for rest in range(value, n - value):
+        # sum to n - r: once n - r > value; bucket n, the empty partial, last
+        for rest in (*range(value, n - value), n):
             product, label, denom = products[rest], labels[rest], denoms[rest]
             for k in range(1, rest // value + 1):
                 product = list(map(mul, product, repeat(weight)))
@@ -192,13 +192,6 @@ def _partition_columns(
                 products[to] += product
                 labels[to] += map(add, label, repeat(byte * k))
                 denoms[to] += denom if k == 1 else map(mul, denom, repeat(_FACTORIALS[k]))
-        # bucket n holds the empty partial alone: its children, one apiece
-        product = 1.0
-        for k in range(1, n // value + 1):
-            product *= weight
-            products[n - k * value].append(product)
-            labels[n - k * value].append(byte * k)
-            denoms[n - k * value].append(_FACTORIALS[k])
     # The ones, bucket n first. The product column carries every bucket taken
     # so far; before bucket r joins, each carried product takes one more
     # multiply by weights[1], so bucket r's take r, one map a step for all of

@@ -38,7 +38,7 @@ from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, filterfalse, islice, repeat
-from operator import add, index, le, mul, sub
+from operator import add, index, itemgetter, le, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .apparatus import _cos_sq
@@ -377,7 +377,8 @@ def entropy(probabilities: Iterable[float]) -> float:
     total = math.fsum(ps)
     if not abs(total - 1.0) <= _SUM_TOL:
         raise ValueError(f"probabilities must sum to 1, got {total!r}")
-    return -math.fsum(p * math.log2(p) for p in ps if p > 0.0)
+    # 0.0 - x is -x for every x but 0.0, where plain negation gives -0.0
+    return 0.0 - math.fsum(p * math.log2(p) for p in ps if p > 0.0)
 
 
 def _entropy_terms(counts: Iterable[int], n: int) -> Iterator[float]:
@@ -568,9 +569,9 @@ def brute_force_spectrum(n: int) -> SpectrumReport:
         for bad in filterfalse((0.0).__le__, intensities):  # negative or NaN
             _check_class(bad, 1, 1 << n)  # raises
         counts.update(keys)
-        order = sorted(range(len(keys)), key=intensities.__getitem__)  # dimmest first,
-        block = dict(zip(map(keys.__getitem__, order), map(intensities.__getitem__, order)))
-        for key, intensity in block.items():  # so each key keeps its brightest float
+        # dimmest first, so each key keeps its brightest float
+        block = dict(sorted(zip(keys, intensities), key=itemgetter(1)))
+        for key, intensity in block.items():
             if intensity > brightest.get(key, 0.0):
                 brightest[key] = intensity
     keys = list(counts)

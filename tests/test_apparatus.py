@@ -345,6 +345,22 @@ def test_zeno_survival_lower_bound():
         assert zeno_survival(n) >= 1.0 - math.pi ** 2 / (4.0 * n)
 
 
+def test_zeno_survival_bits_pinned():
+    # the closed form, spelled out: its own cos^2, and 0.0 at n = 1
+    def pinned(n):
+        if n == 1:
+            return 0.0
+        c = math.cos(math.pi / (2.0 * n))
+        return (c * c) ** n
+
+    rng = random.Random(26)
+    sizes = [*range(1, 2001)]
+    for top in (10 ** 12, 10 ** 15, 2 ** 60):
+        sizes += [rng.randint(2, top) for _ in range(1000)] + [top]
+    for n in sizes:
+        assert zeno_survival(n).hex() == pinned(n).hex(), n
+
+
 def test_zeno_survival_matches_full_configuration():
     for n in (1, 2, 5, 17, 33, 64):
         full = ApparatusConfig(n, (1,) * n)

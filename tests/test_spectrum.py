@@ -16,7 +16,7 @@ import pytest
 from sympy import cyclotomic_poly, symbols, totient
 
 from zenochain import _exact, cli, spectrum
-from zenochain.apparatus import ApparatusConfig, gaps, simulate_intensity
+from zenochain.apparatus import ApparatusConfig, _cos_sq, gaps, simulate_intensity
 from zenochain.partitions import (
     COUNT_CAP,
     ENUMERATION_CAP,
@@ -232,6 +232,36 @@ def test_pinned_merge_float_gaps_far_inside_window():
             worst = max(worst, abs(a - b) / max(a, b))
     assert worst <= 1e-13
     assert 1000 * 1e-13 <= spectrum._MERGE_WINDOW
+
+
+def test_walk_float_error_within_the_merge_window_proof():
+    # _MERGE_WINDOW's comment proves every walk float within (3 pi + 6) n u of
+    # its exact value, relatively; check it on seeded and extreme partitions
+    rng = random.Random(80)
+    worst = 0.0
+    for n in range(2, 81):
+        table = _cos_sq(n)
+        with mpmath.workdps(50):
+            exact_table = [mpmath.cos(g * mpmath.pi / (2 * n)) ** 2 for g in range(n + 1)]
+        cases = {(n - 1, 1), (n - 2, 2), (n - 2, 1, 1), (1,) * n}
+        for _ in range(40):
+            parts, rest = [], n
+            while rest:
+                parts.append(rng.randint(1, rest))
+                rest -= parts[-1]
+            cases.add(tuple(parts))
+        for parts in cases:
+            parts = sorted(filter(None, parts), reverse=True)  # 0 parts at n = 2
+            if n in parts:  # an exact 0.0 on both sides
+                continue
+            value = 1.0  # the walk's float: one multiply a part, largest first
+            for g in parts:
+                value *= table[g]
+            with mpmath.workdps(50):
+                exact = mpmath.fprod(exact_table[g] for g in parts)
+                error = float(abs(value - exact) / exact)
+            worst = max(worst, error / ((3 * math.pi + 6) * n * 2.0 ** -53))
+    assert 0.0 < worst <= 1.0
 
 
 @pytest.mark.parametrize("n", sorted(NEAR_MISSES))
@@ -1038,6 +1068,15 @@ def test_entropy_basic_values():
     assert entropy((1.0,)) == 0.0
     assert entropy((0.5, 0.5, 0.0)) == pytest.approx(1.0, abs=1e-15)
     assert entropy((1 / 8, 3 / 8, 3 / 8, 1 / 8)) == pytest.approx(H_CLASSICAL_3, abs=1e-12)
+
+
+def test_entropy_of_a_certain_outcome_is_plus_zero():
+    # the sum of no terms is 0.0, and negating it would give -0.0
+    for value in (entropy([1.0]), entropy([1.0, 0.0]), qubit_channel_information(1.0, 0.0, 0.0)):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    # every other result keeps the bits of the negated sum
+    for ps in ((0.25, 0.5, 0.25), (0.7, 0.2, 0.1), (1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0)):
+        assert entropy(ps).hex() == (-math.fsum(p * math.log2(p) for p in ps if p > 0.0)).hex()
 
 
 def test_entropy_permutation_invariant():
